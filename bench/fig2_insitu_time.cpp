@@ -9,7 +9,7 @@
 // Here: the same three configurations at 2/4/8 threaded ranks, 30 steps,
 // triggers every 10.  "total_busy_s" (sum of per-rank busy time in the
 // stepping loop) is the time-to-solution proxy that stays meaningful when
-// rank threads share one core; wall_s is also reported.
+// rank threads outnumber the host's cores; wall_s is also reported.
 
 #include <iostream>
 

@@ -1,14 +1,16 @@
 // Ablation A4 (DESIGN.md): the Catalyst-stand-in rendering pipeline —
-// rasterization cost vs resolution and geometry, and depth compositing vs
-// rank count (the IceT role).
+// rasterization cost vs resolution and geometry, one in situ rank's image,
+// and depth compositing vs rank count (the IceT role).
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
+#include "core/nek_data_adaptor.hpp"
 #include "mpimini/runtime.hpp"
 #include "render/compositor.hpp"
 #include "render/rasterizer.hpp"
+#include "sem/box_mesh.hpp"
 
 namespace {
 
@@ -83,6 +85,39 @@ void BM_RasterizeByGeometry(benchmark::State& state) {
   state.counters["cells"] = static_cast<double>(n) * n * n;
 }
 BENCHMARK(BM_RasterizeByGeometry)->RangeMultiplier(2)->Range(4, 16);
+
+// One pb146 sim rank's image (perfbench pb146-insitu-catalyst): its
+// 4x4x4-element z-slab of the 4x4x8 order-4 mesh, tessellated by
+// BuildSemGrid (every element owns its points), at 320x240 with the
+// camera framed on the whole domain.
+void BM_RasterizeSemGrid(benchmark::State& state) {
+  sem::BoxMeshSpec mesh_spec;
+  mesh_spec.order = 4;
+  mesh_spec.elements = {4, 4, 8};
+  const sem::BoxMesh mesh(mesh_spec, /*rank=*/0, /*nranks=*/2);
+  const auto grid = nek_sensei::BuildSemGrid(mesh, sem::MakeGllRule(4));
+  svtk::DataArray& t = grid->AddPointArray("temperature", 1);
+  for (std::size_t i = 0; i < grid->NumPoints(); ++i) {
+    const auto p = grid->GetPoint(i);
+    t.At(i) = std::sin(6.0 * p[0]) * std::cos(5.0 * p[1]) + p[2];
+  }
+  render::RenderSpec spec;
+  spec.array = "temperature";
+  spec.colormap = "plasma";
+  const render::Camera camera =
+      render::FitCamera({0, 1, 0, 1, 0, 1}, 35, 25, 320.0 / 240.0);
+  render::Framebuffer fb(320, 240);
+  render::RasterStats stats;
+  for (auto _ : state) {
+    fb.Clear(spec.background);
+    stats = render::RasterizeGrid(*grid, spec, camera, fb);
+    benchmark::DoNotOptimize(fb.Color().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["triangles"] = static_cast<double>(stats.triangles_drawn);
+  state.counters["pixels"] = static_cast<double>(stats.pixels_shaded);
+}
+BENCHMARK(BM_RasterizeSemGrid)->Unit(benchmark::kMillisecond);
 
 void BM_CompositeByRanks(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));

@@ -1,7 +1,8 @@
 // Wall-clock and per-rank busy-time measurement.
 //
-// The reproduction runs "MPI ranks" as threads on a single core, so
-// wall-clock time of a whole run serializes all ranks.  The figures in the
+// The reproduction runs "MPI ranks" as threads of one process on a host
+// with a few cores; when ranks outnumber the cores they time-slice, so
+// wall-clock time of a whole run partly serializes them.  The figures in the
 // paper plot per-rank (per-node) quantities, so each rank thread carries a
 // BusyClock that accumulates only the time this rank actually spent working.
 // See DESIGN.md §5 for the methodology discussion.
@@ -39,8 +40,9 @@ class WallTimer {
 /// thread's CPU-time clock (CLOCK_THREAD_CPUTIME_ID).
 ///
 /// Using per-thread CPU time rather than wall time is essential here: rank
-/// "processes" are threads sharing one core, so wall time between two
-/// points includes slices spent running *other* ranks.  CPU time counts
+/// "processes" are threads sharing the host's cores, so wall time between
+/// two points can include slices spent running *other* ranks (whenever
+/// ranks outnumber cores) and time blocked on them.  CPU time counts
 /// only cycles this rank actually consumed — the per-node quantity the
 /// paper's scaling figures plot.  Blocking waits (condition variables)
 /// consume no CPU, but mpimini still brackets them with Pause()/Resume()

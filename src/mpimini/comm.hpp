@@ -1,12 +1,13 @@
 // mpimini: a message-passing runtime with MPI semantics, where ranks are
 // threads of one process.
 //
-// The paper's runs use MPI across hundreds of GPU nodes; this machine has a
-// single core and no MPI.  mpimini reproduces the *programming model* (see
-// DESIGN.md §2): each rank owns its own heap allocations, all data exchange
-// goes through explicit typed messages with (source, tag) matching, and
-// collectives (barrier, bcast, reduce, allreduce, gather, allgatherv,
-// alltoall) plus communicator Split are built on the same mailbox machinery.
+// The paper's runs use MPI across hundreds of GPU nodes; this reproduction
+// runs on one multi-core host without MPI.  mpimini reproduces the
+// *programming model* (see DESIGN.md §2): each rank owns its own heap
+// allocations, all data exchange goes through explicit typed messages with
+// (source, tag) matching, and collectives (barrier, bcast, reduce,
+// allreduce, gather, allgatherv, alltoall) plus communicator Split are built
+// on the same mailbox machinery.
 //
 // Blocking waits pause the calling rank's BusyClock, so per-rank busy time
 // measures compute + copy work and excludes synchronization idling — the

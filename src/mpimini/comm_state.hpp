@@ -16,8 +16,10 @@ namespace mpimini::detail {
 
 // Shared state of one communicator: one mailbox per destination rank plus a
 // central barrier and split rendezvous, all guarded by a single annotated
-// mutex (ranks are threads on one core; a finer-grained design would buy
-// nothing here).  Every field below the mutex is NSM_GUARDED_BY it, so the
+// mutex and one condition variable that every send notifies.  Ranks are
+// threads running in parallel on the host's cores, so waking every waiting
+// rank per message has a real cost; finer-grained wakeups are an open
+// optimisation.  Every field below the mutex is NSM_GUARDED_BY it, so the
 // Clang thread-safety analysis proves each access in comm.cpp holds the
 // lock — the mailbox is the highest-traffic shared structure in the system.
 struct CommState {

@@ -42,11 +42,11 @@ struct TransferStats {
 
 /// Simulated interconnect cost per transfer: seconds = latency + bytes/bw.
 ///
-/// The extra time is spent in a sleep, which on this single-core machine
-/// yields to other rank threads — modelling a DMA engine that frees the
-/// host while the copy is in flight would be wrong for the paper's blocking
-/// copies, but the copy still *counts* as rank busy time because mpimini
-/// only pauses the busy clock inside its own waits.
+/// The extra time is spent in a sleep, which yields the core to other rank
+/// threads — modelling a DMA engine that frees the host while the copy is
+/// in flight would be wrong for the paper's blocking copies, but the copy
+/// still *counts* as rank busy time because mpimini only pauses the busy
+/// clock inside its own waits.
 struct TransferModel {
   double latency_seconds = 0.0;
   double bytes_per_second = 0.0;  // 0 => infinitely fast

@@ -22,11 +22,15 @@ void CompositeToRoot(mpimini::Comm& comm, Framebuffer& fb, int root) {
   }
   for (int src = 0; src < comm.Size(); ++src) {
     if (src == root) continue;
-    auto color = comm.Recv<unsigned char>(src, kTagColor);
-    auto depth = comm.Recv<float>(src, kTagDepth);
-    if (color.size() != 3 * pixels || depth.size() != pixels) {
+    // Read the peer's planes in place; Recv<T> would copy each one into a
+    // fresh vector on the step->image path.
+    const core::Buffer color = comm.RecvBuffer(src, kTagColor);
+    const core::Buffer depth_bytes = comm.RecvBuffer(src, kTagDepth);
+    if (color.size() != 3 * pixels ||
+        depth_bytes.size() != pixels * sizeof(float)) {
       throw std::runtime_error("render: compositor framebuffer size mismatch");
     }
+    const std::span<const float> depth = depth_bytes.As<float>();
     for (std::size_t p = 0; p < pixels; ++p) {
       if (depth[p] < fb.DepthPlane()[p]) {
         fb.DepthPlane()[p] = depth[p];

@@ -1,19 +1,34 @@
 #include "render/rasterizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace render {
+
+namespace {
+
+// Pixel count of a width x height image, validated before any plane is
+// allocated (a negative size would otherwise surface as a length_error).
+std::size_t CheckedPixels(int width, int height) {
+  if (width < 1 || height < 1) {
+    throw std::invalid_argument("render: framebuffer size must be positive");
+  }
+  return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
+}
+
+}  // namespace
 
 Framebuffer::Framebuffer(int width, int height)
     : width_(width),
       height_(height),
-      color_("render", static_cast<std::size_t>(width) * height * 3),
-      depth_("render", static_cast<std::size_t>(width) * height) {
-  if (width < 1 || height < 1) {
-    throw std::invalid_argument("render: framebuffer size must be positive");
-  }
+      color_("render", CheckedPixels(width, height) * 3),
+      depth_("render", CheckedPixels(width, height)) {
   Clear(Rgb{0, 0, 0});
 }
 
@@ -55,6 +70,90 @@ namespace {
 constexpr int kHexFaces[6][4] = {{0, 3, 2, 1}, {4, 5, 6, 7}, {0, 1, 5, 4},
                                  {1, 2, 6, 5}, {2, 3, 7, 6}, {3, 0, 4, 7}};
 
+// A face's four point ids, sorted: equal keys mean a shared face.
+using FaceKey = std::array<std::int64_t, 4>;
+
+// Flags each face of `cells` (face 6*k + f is kHexFaces[f] of cells[k])
+// that exactly two of those cells share by four distinct point ids, VTK's
+// surface-filter rule.  A flat open-addressing table of face indices finds
+// the pairs in one pass; probes compare whole keys, so a hash collision
+// never pairs two different faces.
+std::vector<bool> InteriorFaces(const svtk::UnstructuredGrid& grid,
+                                const std::vector<std::size_t>& cells) {
+  // 32-bit face indices halve the table's footprint, which is most of the
+  // pass's cost; a grid too large for them keeps every face.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t nfaces = 6 * cells.size();
+  if (nfaces >= kNone) return std::vector<bool>(nfaces, false);
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * nfaces) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::uint32_t> table(mask + 1, kNone);
+  std::vector<FaceKey> keys(nfaces);
+  std::vector<std::uint32_t> first(nfaces, kNone);  // first face with the key
+  std::vector<std::uint8_t> sharers(nfaces, 0);     // at the first face, <= 3
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const auto nodes = grid.GetCell(cells[k]);
+    for (std::size_t f = 0; f < 6; ++f) {
+      const auto face = static_cast<std::uint32_t>(6 * k + f);
+      FaceKey& key = keys[face];
+      for (std::size_t i = 0; i < 4; ++i) key[i] = nodes[kHexFaces[f][i]];
+      // A five-comparator sorting network; std::sort is slower on 4 ids.
+      for (const auto& [i, j] :
+           {std::pair{0, 1}, {2, 3}, {0, 2}, {1, 3}, {1, 2}}) {
+        if (key[j] < key[i]) std::swap(key[i], key[j]);
+      }
+      if (key[0] == key[1] || key[1] == key[2] || key[2] == key[3]) continue;
+      std::uint64_t hash = 0;
+      for (std::int64_t id : key) {
+        hash = (hash ^ static_cast<std::uint64_t>(id)) * 0x9E3779B97F4A7C15;
+      }
+      std::size_t slot = static_cast<std::size_t>(hash >> (64 - bits));
+      while (table[slot] != kNone && keys[table[slot]] != key) {
+        slot = (slot + 1) & mask;
+      }
+      if (table[slot] == kNone) table[slot] = face;
+      first[face] = table[slot];
+      if (sharers[table[slot]] < 3) ++sharers[table[slot]];
+    }
+  }
+  std::vector<bool> interior(nfaces, false);
+  for (std::size_t face = 0; face < nfaces; ++face) {
+    interior[face] = first[face] != kNone && sharers[first[face]] == 2;
+  }
+  return interior;
+}
+
+// Six times the signed volume that the cell's twelve triangles enclose:
+// positive when kHexFaces winds outward, negative for a mirrored cell.
+double SignedVolume6(const svtk::UnstructuredGrid& grid,
+                     const std::array<std::int64_t, 8>& nodes) {
+  const auto origin = grid.GetPoint(static_cast<std::size_t>(nodes[0]));
+  auto corner = [&](int k) {
+    const auto p = grid.GetPoint(static_cast<std::size_t>(nodes[k]));
+    return Vec3{p[0] - origin[0], p[1] - origin[1], p[2] - origin[2]};
+  };
+  double volume6 = 0.0;
+  for (const auto& face : kHexFaces) {
+    const Vec3 a = corner(face[0]);
+    const Vec3 b = corner(face[1]);
+    const Vec3 c = corner(face[2]);
+    const Vec3 d = corner(face[3]);
+    volume6 += Dot(a, Cross(b, c)) + Dot(a, Cross(c, d));
+  }
+  return volume6;
+}
+
+bool Contains(const std::array<double, 6>& bounds, const Vec3& p) {
+  return p.x >= bounds[0] && p.x <= bounds[1] && p.y >= bounds[2] &&
+         p.y <= bounds[3] && p.z >= bounds[4] && p.z <= bounds[5];
+}
+
+double SignedArea(const ScreenVertex& a, const ScreenVertex& b,
+                  const ScreenVertex& c) {
+  return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
+}
+
 }  // namespace
 
 ScreenVertex ProjectPoint(const Mat4& vp, const Mat4& view, const Vec3& world,
@@ -78,8 +177,7 @@ void RasterizeShadedTriangle(const ScreenVertex& a, const ScreenVertex& b,
                              double lo, double hi, double shade,
                              Framebuffer& fb, RasterStats& stats) {
   if (!a.visible || !b.visible || !c.visible) return;
-  const double area =
-      (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
+  const double area = SignedArea(a, b, c);
   if (std::abs(area) < 1e-12) return;
 
   const int min_x = std::max(0, static_cast<int>(std::floor(
@@ -180,20 +278,22 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
   const Mat4 view = camera.ViewMatrix();
   const std::size_t np = grid.NumPoints();
   std::vector<ScreenVertex> projected(np);
+  bool all_visible = true;
   for (std::size_t i = 0; i < np; ++i) {
     const auto p = grid.GetPoint(i);
     projected[i] = ProjectPoint(vp, view, {p[0], p[1], p[2]}, fb.Width(),
                                 fb.Height());
+    all_visible = all_visible && projected[i].visible;
     if (spec.centering == svtk::Centering::kPoint) {
       projected[i].scalar = scalar_of(i);
     }
   }
 
-  const std::size_t nc = grid.NumCells();
-  for (std::size_t cell = 0; cell < nc; ++cell) {
+  // Select the cells to draw, in cell order: those straddling the slice
+  // plane whose (mean) scalar lies inside the threshold band.
+  auto selected = [&](std::size_t cell) {
+    const auto nodes = grid.GetCell(cell);
     if (spec.slice_axis) {
-      // Keep only cells straddling the slice plane.
-      const auto nodes = grid.GetCell(cell);
       double lo_c = 0.0, hi_c = 0.0;
       for (int k = 0; k < 8; ++k) {
         const auto p = grid.GetPoint(static_cast<std::size_t>(nodes[k]));
@@ -205,41 +305,70 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
           hi_c = std::max(hi_c, v);
         }
       }
-      if (spec.slice_position < lo_c || spec.slice_position > hi_c) continue;
-    }
-    double cell_scalar = 0.0;
-    if (spec.centering == svtk::Centering::kCell) {
-      cell_scalar = scalar_of(cell);
+      if (spec.slice_position < lo_c || spec.slice_position > hi_c) {
+        return false;
+      }
     }
     if (spec.threshold_min || spec.threshold_max) {
-      double probe = cell_scalar;
-      if (spec.centering == svtk::Centering::kPoint) {
-        const auto nodes = grid.GetCell(cell);
-        probe = 0.0;
+      double probe = 0.0;
+      if (spec.centering == svtk::Centering::kCell) {
+        probe = scalar_of(cell);
+      } else {
         for (std::int64_t nid : nodes) {
           probe += scalar_of(static_cast<std::size_t>(nid));
         }
         probe /= 8.0;
       }
-      if (spec.threshold_min && probe < *spec.threshold_min) continue;
-      if (spec.threshold_max && probe > *spec.threshold_max) continue;
+      if (spec.threshold_min && probe < *spec.threshold_min) return false;
+      if (spec.threshold_max && probe > *spec.threshold_max) return false;
     }
+    return true;
+  };
+  std::vector<std::size_t> cells;
+  for (std::size_t cell = 0; cell < grid.NumCells(); ++cell) {
+    if (selected(cell)) cells.push_back(cell);
+  }
 
+  // Visible faces only.  While the eye is outside the grid and every point
+  // lies in front of it, a ray meets an interior face or a back-facing
+  // triangle only after a front face nearer to the eye, so skipping them
+  // leaves every pixel as drawing them would.  Otherwise (a zoomed-in eye
+  // inside the mesh, a grid reaching behind the camera) every face is drawn.
+  const bool cull =
+      all_visible && !Contains(grid.Bounds(), camera.position);
+  const std::vector<bool> interior =
+      cull ? InteriorFaces(grid, cells) : std::vector<bool>();
+
+  // `front` has the sign of a front-facing triangle's screen area; 0 draws
+  // both facings.
+  auto draw = [&](const ScreenVertex& a, const ScreenVertex& b,
+                  const ScreenVertex& c, double front) {
+    if (SignedArea(a, b, c) * front < 0.0) return;
+    RasterizeShadedTriangle(a, b, c, cmap, lo, hi, 1.0, fb, stats);
+  };
+
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const std::size_t cell = cells[k];
     const auto nodes = grid.GetCell(cell);
+    const double cell_scalar =
+        spec.centering == svtk::Centering::kCell ? scalar_of(cell) : 0.0;
+    // y points down on screen, so a face wound outward (positive volume)
+    // and seen from outside has negative area.
+    const double front = cull ? -SignedVolume6(grid, nodes) : 0.0;
     bool drew_cell = false;
-    for (const auto& face : kHexFaces) {
+    for (std::size_t f = 0; f < 6; ++f) {
+      if (cull && interior[6 * k + f]) continue;
       ScreenVertex corners[4];
-      for (int k = 0; k < 4; ++k) {
-        corners[k] = projected[static_cast<std::size_t>(nodes[face[k]])];
+      for (int i = 0; i < 4; ++i) {
+        corners[i] =
+            projected[static_cast<std::size_t>(nodes[kHexFaces[f][i]])];
         if (spec.centering == svtk::Centering::kCell) {
-          corners[k].scalar = cell_scalar;
+          corners[i].scalar = cell_scalar;
         }
       }
       const std::size_t before = stats.triangles_drawn;
-      RasterizeShadedTriangle(corners[0], corners[1], corners[2], cmap, lo,
-                              hi, 1.0, fb, stats);
-      RasterizeShadedTriangle(corners[0], corners[2], corners[3], cmap, lo,
-                              hi, 1.0, fb, stats);
+      draw(corners[0], corners[1], corners[2], front);
+      draw(corners[0], corners[2], corners[3], front);
       drew_cell = drew_cell || stats.triangles_drawn != before;
     }
     if (drew_cell) ++stats.cells_drawn;

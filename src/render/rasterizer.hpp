@@ -1,12 +1,31 @@
 // Software rasterization of svtk unstructured hex grids: the Catalyst/
 // ParaView rendering stand-in.
 //
-// Every hex cell contributes its six quad faces (two triangles each) with
-// per-vertex scalar colors mapped through a Colormap; a z-buffer resolves
-// visibility, so the opaque outer surface (or a thresholded cell subset, as
-// with ParaView's Threshold filter) is rendered correctly without needing
-// global sorting.  Each rank rasterizes its own blocks; the compositor then
-// merges framebuffers across ranks by depth (direct-send compositing).
+// Each selected hex cell (after the slice/threshold selection, as with
+// ParaView's Slice and Threshold filters) is drawn as its six quad faces,
+// two triangles each, with per-vertex scalar colors mapped through a
+// Colormap; a z-buffer resolves visibility without global sorting.
+//
+// Only faces that can win the depth test are rasterized, as ParaView draws
+// an unstructured grid from its external faces.  A face that exactly two
+// selected cells share by four distinct point ids is interior and skipped,
+// and so is every triangle whose screen-space winding is back-facing for
+// its cell (the orientation comes from the cell's signed volume, so a
+// mirrored hex renders correctly).  Faces match by point id only: grids
+// that give each element its own points still draw the faces between
+// elements.  The culls apply only while the eye lies outside the grid's
+// bounds and every point projects in front of it; otherwise (a zoomed-in
+// eye inside the mesh) every face is drawn.
+//
+// From such an eye, a ray through a conforming mesh (cells do not overlap)
+// first meets a kept, front-facing triangle.  Draw order and per-pixel
+// arithmetic are those of drawing every face, so the color and depth planes
+// are bit-identical to drawing every face wherever that nearest triangle
+// also wins the z-test, as it does in exact arithmetic; the oracle tests
+// in tests/render_test.cpp pin this on the grid layouts the pipeline draws.
+//
+// Each rank rasterizes its own blocks; the compositor then merges
+// framebuffers across ranks by depth (direct-send compositing).
 #pragma once
 
 #include <limits>
@@ -71,6 +90,8 @@ struct RenderSpec {
   Rgb background{20, 20, 30};
 };
 
+/// Work actually done: a triangle counts once it shades a pixel, a cell once
+/// one of its triangles does, so culled faces and occluded cells add nothing.
 struct RasterStats {
   std::size_t cells_drawn = 0;
   std::size_t triangles_drawn = 0;

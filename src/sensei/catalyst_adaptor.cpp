@@ -11,6 +11,15 @@
 
 namespace sensei {
 
+int CheckedImageSize(const char* what, long size) {
+  if (size < 1 || size > kMaxCatalystImageSize) {
+    throw std::invalid_argument(std::string("sensei: catalyst ") + what + " " +
+                                std::to_string(size) + " outside [1, " +
+                                std::to_string(kMaxCatalystImageSize) + "]");
+  }
+  return static_cast<int>(size);
+}
+
 CatalystAnalysisAdaptor::CatalystAnalysisAdaptor(CatalystOptions options)
     : options_(std::move(options)) {
   if (options_.views.empty()) {
@@ -19,6 +28,8 @@ CatalystAnalysisAdaptor::CatalystAnalysisAdaptor(CatalystOptions options)
   if (options_.format != "png" && options_.format != "ppm") {
     throw std::invalid_argument("sensei: catalyst format must be png or ppm");
   }
+  CheckedImageSize("width", options_.width);
+  CheckedImageSize("height", options_.height);
 }
 
 bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {

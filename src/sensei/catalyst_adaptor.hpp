@@ -41,9 +41,16 @@ struct CatalystView {
   std::string name = "view";  ///< used in output filenames
 };
 
+/// Largest accepted image width or height, in pixels.
+inline constexpr int kMaxCatalystImageSize = 16384;
+
+/// `size` as an int if it lies in [1, kMaxCatalystImageSize]; otherwise
+/// throws std::invalid_argument naming `what` ("width" or "height").
+int CheckedImageSize(const char* what, long size);
+
 struct CatalystOptions {
-  int width = 640;
-  int height = 480;
+  int width = 640;   ///< in [1, kMaxCatalystImageSize]
+  int height = 480;  ///< in [1, kMaxCatalystImageSize]
   std::string output_dir = ".";
   std::string prefix = "render";
   /// "png" (zlib-compressed, what a ParaView pipeline writes) or "ppm".

@@ -56,8 +56,10 @@ CatalystView ParseView(const xmlcfg::Element& e) {
 std::shared_ptr<AnalysisAdaptor> MakeCatalyst(const xmlcfg::Element& e,
                                               mpimini::Comm&) {
   CatalystOptions options;
-  options.width = static_cast<int>(e.AttrInt("width", 640));
-  options.height = static_cast<int>(e.AttrInt("height", 480));
+  // Range-checked before narrowing, so "4294967936" cannot wrap to 640.
+  options.width = CheckedImageSize("width", e.AttrInt("width", options.width));
+  options.height =
+      CheckedImageSize("height", e.AttrInt("height", options.height));
   options.output_dir = e.Attr("output", ".");
   options.prefix = e.Attr("prefix", "render");
   options.format = e.Attr("format", "png");

@@ -57,7 +57,7 @@ TEST(BusyClockTest, AccumulatesOnlyWhileRunning) {
 TEST(BusyClockTest, SleepConsumesNoBusyTime) {
   // The clock measures CPU time: a blocked (sleeping) rank accumulates
   // nothing even while "running" — the property the scaling figures rely
-  // on when rank threads share one core.
+  // on when rank threads outnumber the host's cores.
   BusyClock clock;
   clock.Resume();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

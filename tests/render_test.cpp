@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <numbers>
 
 #include "mpimini/runtime.hpp"
 #include "render/camera.hpp"
@@ -94,6 +97,11 @@ TEST(FramebufferTest, ClearSetsBackgroundAndFarDepth) {
   EXPECT_EQ(fb.Pixel(0, 0), (Rgb{1, 2, 3}));
   EXPECT_EQ(fb.Pixel(7, 3), (Rgb{1, 2, 3}));
   EXPECT_EQ(fb.Depth(4, 2), Framebuffer::kFarDepth);
+}
+
+TEST(FramebufferTest, RejectsNonPositiveSizeBeforeAllocating) {
+  EXPECT_THROW(Framebuffer(-5, 10), std::invalid_argument);
+  EXPECT_THROW(Framebuffer(10, 0), std::invalid_argument);
 }
 
 TEST(FramebufferTest, TracksRenderMemory) {
@@ -272,6 +280,306 @@ TEST(RasterizerTest, SliceKeepsOnlyStraddlingCells) {
   auto s_up = render::RasterizeGrid(upper, spec, camera, fb);
   EXPECT_EQ(s_low.cells_drawn, 1u);
   EXPECT_EQ(s_up.cells_drawn, 0u);
+}
+
+// ---- Visible-face culling oracle ------------------------------------------
+
+// The rasterizer without culling: every triangle of every selected cell,
+// in RasterizeGrid's draw order, through the public triangle rasterizer.
+render::RasterStats ReferenceRasterize(const svtk::UnstructuredGrid& grid,
+                                       const RenderSpec& spec,
+                                       const Camera& camera, Framebuffer& fb) {
+  constexpr int kFaces[6][4] = {{0, 3, 2, 1}, {4, 5, 6, 7}, {0, 1, 5, 4},
+                                {1, 2, 6, 5}, {2, 3, 7, 6}, {3, 0, 4, 7}};
+  const bool by_point = spec.centering == svtk::Centering::kPoint;
+  const svtk::DataArray* array =
+      by_point ? grid.PointArray(spec.array) : grid.CellArray(spec.array);
+  const bool magnitude = spec.color_by_magnitude && array->Components() > 1;
+  auto scalar_of = [&](std::size_t tuple) {
+    return magnitude ? array->Magnitude(tuple) : array->At(tuple);
+  };
+  double lo = spec.range_min;
+  double hi = spec.range_max;
+  if (lo == hi) {
+    const auto range = array->ValueRange(magnitude);
+    lo = range.min;
+    hi = range.max;
+  }
+  const Colormap& cmap = GetColormap(spec.colormap);
+  const render::Mat4 vp = camera.ViewProjection();
+  const render::Mat4 view = camera.ViewMatrix();
+  std::vector<render::ScreenVertex> projected(grid.NumPoints());
+  for (std::size_t i = 0; i < grid.NumPoints(); ++i) {
+    const auto p = grid.GetPoint(i);
+    projected[i] = render::ProjectPoint(vp, view, {p[0], p[1], p[2]},
+                                        fb.Width(), fb.Height());
+    if (by_point) projected[i].scalar = scalar_of(i);
+  }
+  render::RasterStats stats;
+  for (std::size_t cell = 0; cell < grid.NumCells(); ++cell) {
+    const auto nodes = grid.GetCell(cell);
+    if (spec.slice_axis) {
+      double lo_c = 1e300, hi_c = -1e300;
+      for (std::int64_t nid : nodes) {
+        const double v = grid.GetPoint(static_cast<std::size_t>(nid))
+            [static_cast<std::size_t>(*spec.slice_axis)];
+        lo_c = std::min(lo_c, v);
+        hi_c = std::max(hi_c, v);
+      }
+      if (spec.slice_position < lo_c || spec.slice_position > hi_c) continue;
+    }
+    const double cell_scalar = by_point ? 0.0 : scalar_of(cell);
+    if (spec.threshold_min || spec.threshold_max) {
+      double probe = cell_scalar;
+      if (by_point) {
+        probe = 0.0;
+        for (std::int64_t nid : nodes) {
+          probe += scalar_of(static_cast<std::size_t>(nid));
+        }
+        probe /= 8.0;
+      }
+      if (spec.threshold_min && probe < *spec.threshold_min) continue;
+      if (spec.threshold_max && probe > *spec.threshold_max) continue;
+    }
+    for (const auto& face : kFaces) {
+      render::ScreenVertex c[4];
+      for (int k = 0; k < 4; ++k) {
+        c[k] = projected[static_cast<std::size_t>(nodes[face[k]])];
+        if (!by_point) c[k].scalar = cell_scalar;
+      }
+      render::RasterizeShadedTriangle(c[0], c[1], c[2], cmap, lo, hi, 1.0, fb,
+                                      stats);
+      render::RasterizeShadedTriangle(c[0], c[2], c[3], cmap, lo, hi, 1.0, fb,
+                                      stats);
+    }
+  }
+  return stats;
+}
+
+bool SamePlanes(const Framebuffer& a, const Framebuffer& b) {
+  return a.Color().size() == b.Color().size() &&
+         std::memcmp(a.Color().data(), b.Color().data(), a.Color().size()) ==
+             0 &&
+         std::memcmp(a.DepthPlane().data(), b.DepthPlane().data(),
+                     a.DepthPlane().size() * sizeof(float)) == 0;
+}
+
+struct OracleRun {
+  render::RasterStats reference;
+  render::RasterStats culled;
+};
+
+// Renders `grid` both ways into fresh 160x120 framebuffers and requires
+// bit-identical color and depth planes.
+OracleRun ExpectMatchesReference(const svtk::UnstructuredGrid& grid,
+                                 const RenderSpec& spec,
+                                 const Camera& camera) {
+  Framebuffer expected(160, 120);
+  Framebuffer actual(160, 120);
+  expected.Clear(spec.background);
+  actual.Clear(spec.background);
+  OracleRun run;
+  run.reference = ReferenceRasterize(grid, spec, camera, expected);
+  run.culled = render::RasterizeGrid(grid, spec, camera, actual);
+  EXPECT_GT(run.reference.pixels_shaded, 0u);
+  EXPECT_TRUE(SamePlanes(expected, actual));
+  return run;
+}
+
+// An n^3 lattice of hex cells over [0,1]^3.  With `elements` > 1 the
+// lattice is cut into elements^3 blocks of order^3 cells that each own
+// their points, cosine-spaced like GLL nodes: the BuildSemGrid layout,
+// where faces between elements have coincident points but distinct ids.
+svtk::UnstructuredGrid MakeLattice(int elements, int order) {
+  const int np = order + 1;
+  const auto per_element = static_cast<std::size_t>(np * np * np);
+  const auto nel = static_cast<std::size_t>(elements * elements * elements);
+  svtk::UnstructuredGrid grid(nel * per_element,
+                              nel * static_cast<std::size_t>(order) * order *
+                                  order);
+  auto node = [&](int i) {
+    if (elements == 1) return static_cast<double>(i) / order;
+    return 0.5 * (1.0 - std::cos(std::numbers::pi * i / order));
+  };
+  std::size_t cell = 0;
+  for (std::size_t e = 0; e < nel; ++e) {
+    const int ex = static_cast<int>(e) % elements;
+    const int ey = static_cast<int>(e) / elements % elements;
+    const int ez = static_cast<int>(e) / (elements * elements);
+    const auto base = static_cast<std::int64_t>(e * per_element);
+    auto id = [&](int i, int j, int k) {
+      return base + i + np * (j + np * k);
+    };
+    for (int k = 0; k < np; ++k) {
+      for (int j = 0; j < np; ++j) {
+        for (int i = 0; i < np; ++i) {
+          grid.SetPoint(static_cast<std::size_t>(id(i, j, k)),
+                        (ex + node(i)) / elements, (ey + node(j)) / elements,
+                        (ez + node(k)) / elements);
+        }
+      }
+    }
+    for (int k = 0; k < order; ++k) {
+      for (int j = 0; j < order; ++j) {
+        for (int i = 0; i < order; ++i) {
+          grid.SetCell(cell++, {id(i, j, k), id(i + 1, j, k),
+                                id(i + 1, j + 1, k), id(i, j + 1, k),
+                                id(i, j, k + 1), id(i + 1, j, k + 1),
+                                id(i + 1, j + 1, k + 1), id(i, j + 1, k + 1)});
+        }
+      }
+    }
+  }
+  svtk::DataArray& f = grid.AddPointArray("f", 1);
+  for (std::size_t t = 0; t < grid.NumPoints(); ++t) {
+    const auto p = grid.GetPoint(t);
+    f.At(t) = std::sin(6.0 * p[0]) * std::cos(5.0 * p[1]) + p[2];
+  }
+  svtk::DataArray& c = grid.AddCellArray("c", 1);
+  for (std::size_t t = 0; t < grid.NumCells(); ++t) {
+    c.At(t) = static_cast<double>((t * 7919) % 101);
+  }
+  return grid;
+}
+
+RenderSpec LatticeSpec() {
+  RenderSpec spec;
+  spec.array = "f";
+  spec.colormap = "plasma";
+  return spec;
+}
+
+Camera LatticeCamera(double zoom = 1.0) {
+  return FitCamera({0, 1, 0, 1, 0, 1}, 35.0, 25.0, 160.0 / 120.0, zoom);
+}
+
+TEST(VisibleFaceTest, UnitCubeMatchesEveryFaceReference) {
+  const svtk::UnstructuredGrid grid = MakeCube(0.0, 1.0, 5.0);
+  RenderSpec spec;
+  spec.array = "f";
+  spec.colormap = "grayscale";
+  spec.range_min = 0.0;
+  spec.range_max = 10.0;
+  const OracleRun run = ExpectMatchesReference(grid, spec, LatticeCamera());
+  // Three faces face the camera; the back faces are skipped.
+  EXPECT_EQ(run.culled.triangles_drawn, 6u);
+  EXPECT_LT(run.culled.pixels_shaded, run.reference.pixels_shaded);
+}
+
+TEST(VisibleFaceTest, MirroredHexTakesOrientationFromSignedVolume) {
+  svtk::UnstructuredGrid grid = MakeCube(0.0, 1.0, 0.0);
+  grid.SetCell(0, {4, 5, 7, 6, 0, 1, 3, 2});  // top and bottom swapped
+  for (std::size_t t = 0; t < 8; ++t) {
+    grid.PointArray("f")->At(t) = static_cast<double>(t);
+  }
+  const OracleRun run =
+      ExpectMatchesReference(grid, LatticeSpec(), LatticeCamera());
+  EXPECT_EQ(run.culled.triangles_drawn, 6u);
+}
+
+TEST(VisibleFaceTest, SharedPointLatticeSkipsInteriorFaces) {
+  const svtk::UnstructuredGrid grid = MakeLattice(1, 8);
+  const OracleRun run =
+      ExpectMatchesReference(grid, LatticeSpec(), LatticeCamera());
+  // Only the three camera-facing sides of the block are drawn: 3 * 64
+  // quads, 2 triangles each.
+  EXPECT_EQ(run.culled.triangles_drawn, 3u * 64u * 2u);
+  EXPECT_GT(run.reference.pixels_shaded, 3 * run.culled.pixels_shaded);
+}
+
+TEST(VisibleFaceTest, PerElementPointsStillDrawFacesBetweenElements) {
+  const svtk::UnstructuredGrid grid = MakeLattice(2, 4);
+  const OracleRun run =
+      ExpectMatchesReference(grid, LatticeSpec(), LatticeCamera());
+  EXPECT_LT(run.culled.triangles_drawn, run.reference.triangles_drawn);
+}
+
+TEST(VisibleFaceTest, ThresholdAndSliceSubsetsMatch) {
+  const svtk::UnstructuredGrid grid = MakeLattice(1, 8);
+  RenderSpec threshold = LatticeSpec();
+  threshold.threshold_min = 0.2;
+  threshold.threshold_max = 1.1;
+  ExpectMatchesReference(grid, threshold, LatticeCamera());
+  RenderSpec slice = LatticeSpec();
+  slice.slice_axis = 1;
+  slice.slice_position = 0.4;
+  ExpectMatchesReference(grid, slice, LatticeCamera());
+  const svtk::UnstructuredGrid sem = MakeLattice(2, 4);
+  ExpectMatchesReference(sem, threshold, LatticeCamera());
+  ExpectMatchesReference(sem, slice, LatticeCamera());
+}
+
+TEST(VisibleFaceTest, CellCenteredColoringMatches) {
+  RenderSpec spec = LatticeSpec();
+  spec.array = "c";
+  spec.centering = svtk::Centering::kCell;
+  ExpectMatchesReference(MakeLattice(1, 8), spec, LatticeCamera());
+  spec.threshold_min = 30.0;
+  ExpectMatchesReference(MakeLattice(2, 4), spec, LatticeCamera());
+}
+
+TEST(VisibleFaceTest, EyeInsideBoundsDrawsEveryFace) {
+  const svtk::UnstructuredGrid grid = MakeLattice(1, 8);
+  const Camera camera = FitCamera(grid.Bounds(), 45.0, 25.0, 160.0 / 120.0,
+                                  4.0);
+  for (double v : {camera.position.x, camera.position.y, camera.position.z}) {
+    ASSERT_GT(v, 0.0);
+    ASSERT_LT(v, 1.0);
+  }
+  const OracleRun run = ExpectMatchesReference(grid, LatticeSpec(), camera);
+  EXPECT_EQ(run.culled.triangles_drawn, run.reference.triangles_drawn);
+  EXPECT_EQ(run.culled.pixels_shaded, run.reference.pixels_shaded);
+}
+
+TEST(VisibleFaceTest, GridReachingBehindTheEyeDrawsEveryFace) {
+  // A 4x1x1 bar seen from beside its middle: the eye is outside the bounds,
+  // but the bar's far end lies behind it, so the faces that would hide
+  // back faces near the eye are dropped and nothing may be culled.
+  svtk::UnstructuredGrid grid = MakeLattice(1, 4);
+  for (std::size_t i = 0; i < grid.NumPoints(); ++i) {
+    grid.Points()[3 * i] *= 4.0;
+  }
+  Camera camera;
+  camera.position = {1.0, -0.3, 0.5};
+  camera.target = {3.0, 0.5, 0.5};
+  camera.aspect = 160.0 / 120.0;
+  camera.near_plane = 0.01;
+  const OracleRun run = ExpectMatchesReference(grid, LatticeSpec(), camera);
+  EXPECT_EQ(run.culled.pixels_shaded, run.reference.pixels_shaded);
+}
+
+TEST(VisibleFaceTest, TwoRankCompositeMatches) {
+  const svtk::UnstructuredGrid whole = MakeLattice(2, 4);
+  mpimini::Runtime::Run(2, [&](mpimini::Comm& comm) {
+    // Each rank draws four of the eight elements, as a split mesh would.
+    const std::size_t cells = whole.NumCells() / 2;
+    svtk::UnstructuredGrid part(whole.NumPoints(), cells);
+    std::copy(whole.Points().begin(), whole.Points().end(),
+              part.Points().begin());
+    for (std::size_t c = 0; c < cells; ++c) {
+      part.SetCell(c, whole.GetCell(static_cast<std::size_t>(comm.Rank()) *
+                                        cells +
+                                    c));
+    }
+    svtk::DataArray& f = part.AddPointArray("f", 1);
+    for (std::size_t t = 0; t < part.NumPoints(); ++t) {
+      f.At(t) = whole.PointArray("f")->At(t);
+    }
+    RenderSpec spec = LatticeSpec();
+    spec.range_min = -1.0;
+    spec.range_max = 2.0;
+    Framebuffer expected(160, 120);
+    Framebuffer actual(160, 120);
+    expected.Clear(spec.background);
+    actual.Clear(spec.background);
+    ReferenceRasterize(part, spec, LatticeCamera(), expected);
+    render::RasterizeGrid(part, spec, LatticeCamera(), actual);
+    render::CompositeToRoot(comm, expected, 0);
+    render::CompositeToRoot(comm, actual, 0);
+    if (comm.Rank() == 0) {
+      EXPECT_TRUE(SamePlanes(expected, actual));
+    }
+  });
 }
 
 TEST(ScalarBarTest, DrawsGradientAndTicks) {

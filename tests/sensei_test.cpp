@@ -186,6 +186,46 @@ TEST(CatalystAdaptorTest, TwoViewsRenderTwoImages) {
   });
 }
 
+TEST(CatalystAdaptorTest, RejectsImageSizesOutsideRange) {
+  for (const auto& [width, height] :
+       {std::pair{0, 48}, {-5, 48}, {64, 0}, {64, -5}, {16385, 48}}) {
+    sensei::CatalystOptions options;
+    options.width = width;
+    options.height = height;
+    options.views.emplace_back();
+    EXPECT_THROW(sensei::CatalystAnalysisAdaptor{options},
+                 std::invalid_argument)
+        << width << "x" << height;
+  }
+  sensei::CatalystOptions largest;
+  largest.width = sensei::kMaxCatalystImageSize;
+  largest.height = 1;
+  largest.views.emplace_back();
+  EXPECT_NO_THROW(sensei::CatalystAnalysisAdaptor{largest});
+}
+
+TEST(CatalystAdaptorTest, XmlImageSizesAreCheckedAtInitialize) {
+  Runtime::Run(1, [](Comm& comm) {
+    // "4294967936" is 2^32 + 640: narrowing it to int would yield 640.
+    for (const char* size : {"0", "-5", "5000000000", "4294967936"}) {
+      for (const char* key : {"width", "height"}) {
+        sensei::ConfigurableAnalysis analysis(comm);
+        const std::string xml =
+            std::string("<sensei><analysis type=\"catalyst\" ") +
+            "array=\"scalar\" " + key + "=\"" + size + "\"/></sensei>";
+        try {
+          analysis.Initialize(xmlcfg::Parse(xml).root);
+          ADD_FAILURE() << key << "=" << size << " passed Initialize";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(std::string(key) + " " + size),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  });
+}
+
 TEST(StatsAdaptorTest, GlobalReductionAcrossRanks) {
   Runtime::Run(4, [](Comm& comm) {
     TestDataAdaptor data(comm);
