@@ -298,8 +298,10 @@ std::vector<std::byte> Shuffle8(const std::vector<std::byte>& in) {
       out[p * words + i] = in[i * 8 + p];
     }
   }
-  std::memcpy(out.data() + words * 8, in.data() + words * 8,
-              in.size() - words * 8);
+  // std::copy, not memcpy: an empty input has null data(), which memcpy
+  // must not see even for zero bytes.
+  std::copy(in.begin() + static_cast<std::ptrdiff_t>(words * 8), in.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(words * 8));
   return out;
 }
 
@@ -311,8 +313,8 @@ std::vector<std::byte> Unshuffle8(const std::vector<std::byte>& in) {
       out[i * 8 + p] = in[p * words + i];
     }
   }
-  std::memcpy(out.data() + words * 8, in.data() + words * 8,
-              in.size() - words * 8);
+  std::copy(in.begin() + static_cast<std::ptrdiff_t>(words * 8), in.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(words * 8));
   return out;
 }
 

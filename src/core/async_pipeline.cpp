@@ -73,7 +73,7 @@ AsyncPipeline::AsyncPipeline(nekrs::FlowSolver& solver,
   // when the run has those planes (per-rank rings are single-owner, so the
   // worker records into a separate lane — tid rank+1000, "rank N worker" —
   // that the runtime folds into RunResult::tracers after Shutdown).
-  if (const mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+  if (const instrument::RankEnv* env = instrument::CurrentEnv()) {
     worker_env_.rank = env->rank;
     // The flight recorder is the one deliberately *shared* instrument: its
     // ring is multi-writer safe, and a crash dump must interleave worker
@@ -171,7 +171,7 @@ bool AsyncPipeline::Submit(int step, double time) {
   const std::size_t index = next_slot_;
   next_slot_ = (next_slot_ + 1) % slots_.size();
   const std::int64_t wait_begin_ns = instrument::Tracer::NowNs();
-  mpimini::RankEnv* env = mpimini::CurrentEnv();
+  instrument::RankEnv* env = instrument::CurrentEnv();
   if (env != nullptr) env->busy.Pause();
   {
     core::MutexLock lock(mutex_);
@@ -214,7 +214,7 @@ bool AsyncPipeline::Submit(int step, double time) {
 }
 
 void AsyncPipeline::WorkerMain() {
-  mpimini::WorkerEnvScope env_scope(&worker_env_);
+  instrument::RankScope rank_scope(&worker_env_);
   SnapshotDataAdaptor data(solver_, analysis_comm_);
 
   for (;;) {
@@ -250,18 +250,12 @@ void AsyncPipeline::WorkerMain() {
         instrument::ProvenanceScope provenance_scope(
             slot.provenance.Valid() ? &slot.provenance : nullptr);
         instrument::SetClockOffsetNs(slot.provenance.origin_offset_ns);
+        instrument::Span span("bridge.update");
         data.SetPipelineTime(slot.step, slot.time);
         data.SetSnapshot(&slot.fields);
         const bool ok = analysis_.Execute(data);
         data.SetSnapshot(nullptr);
         if (!ok) execute_failed_.store(true, std::memory_order_relaxed);
-        if (auto* metrics = instrument::CurrentMetrics()) {
-          metrics->Add("bridge.update_seconds",
-                       static_cast<double>(instrument::Tracer::NowNs() -
-                                           begin_ns) *
-                           1e-9);
-          metrics->Add("bridge.updates", 1.0);
-        }
       } catch (...) {
         core::MutexLock lock(mutex_);
         if (!worker_error_) worker_error_ = std::current_exception();
@@ -302,7 +296,7 @@ void AsyncPipeline::Shutdown() {
   work_cv_.NotifyOne();
   {
     instrument::Span span("async.drain");
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
+    instrument::RankEnv* env = instrument::CurrentEnv();
     if (env != nullptr) env->busy.Pause();
     worker_.join();
     if (env != nullptr) env->busy.Resume();
@@ -336,7 +330,7 @@ void AsyncPipeline::Shutdown() {
                                               rank_tracer->ClockMinRttNs());
       worker_env_.tracer->SetClockDrift(rank_tracer->ClockDriftNs());
     }
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+    if (instrument::RankEnv* env = instrument::CurrentEnv()) {
       env->extra_tracers.push_back(worker_env_.tracer);
     }
   }

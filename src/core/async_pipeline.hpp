@@ -20,11 +20,12 @@
 //  - All device work (derived-field kernels, the pack kernel, the D2H)
 //    stays on the rank thread: device launch stats and the derived-field
 //    collectives are rank-owned.  The worker touches host memory only.
-//  - The worker runs under its own mpimini::RankEnv (same rank id, its own
-//    MemoryTracker/MetricsRegistry, no tracer) installed via
-//    WorkerEnvScope, so the per-rank single-owner structures are never
-//    shared between the two threads; the worker's attribution is folded
-//    back into the rank registry/stats at Shutdown, after the join.
+//  - The worker runs under its own instrument::RankEnv (same rank id, its
+//    own MemoryTracker and, when the run has them, MetricsRegistry and
+//    tracer lane) installed via instrument::RankScope, so the per-rank
+//    single-owner structures are never shared between the two threads;
+//    the worker's attribution is folded back into the rank registry/stats
+//    at Shutdown, after the join.
 //  - Analyses execute against a dedicated analysis communicator (a Split
 //    of the stepping communicator with identical rank numbering), so the
 //    worker's collectives can never interleave with the rank thread's
@@ -52,7 +53,8 @@
 #include "core/thread_annotations.hpp"
 #include "instrument/metrics.hpp"
 #include "instrument/provenance.hpp"
-#include "mpimini/runtime.hpp"
+#include "instrument/rank_env.hpp"
+#include "mpimini/comm.hpp"
 #include "sensei/configurable_analysis.hpp"
 
 namespace nek_sensei {
@@ -126,8 +128,9 @@ class AsyncPipeline {
   /// insitu.offloaded_share.  Idempotent; rethrows a pending worker error.
   void Shutdown();
 
-  /// Cumulative wall seconds of offloaded updates (async counterpart of
-  /// bridge.update_seconds).  Readable from the rank thread at any time.
+  /// Cumulative wall seconds of offloaded updates (what the worker's
+  /// bridge.update spans add up to).  Readable from the rank thread at any
+  /// time.
   [[nodiscard]] double OffloadedSeconds() const {
     return static_cast<double>(offloaded_ns_.load(std::memory_order_relaxed)) *
            1e-9;
@@ -186,7 +189,7 @@ class AsyncPipeline {
   std::atomic<std::int64_t> offloaded_ns_{0};
 
   /// The worker's identity: same rank id, own single-owner structures.
-  mpimini::RankEnv worker_env_;
+  instrument::RankEnv worker_env_;
   /// Published by the worker right before it exits; the join makes them
   /// safe to read from the rank thread in Shutdown.
   core::BufferStats worker_buffer_stats_;

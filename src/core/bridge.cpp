@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "instrument/metrics.hpp"
 #include "instrument/tracer.hpp"
 
 namespace nek_sensei {
@@ -33,25 +32,13 @@ Bridge::Bridge(
 bool Bridge::Update() {
   if (pipeline_) {
     // The rank-thread cost of async mode is capture + enqueue, traced as
-    // async.submit inside the pipeline; bridge.update_seconds is recorded
-    // by the worker so the metric keeps meaning "time inside SENSEI".
+    // async.submit inside the pipeline; the worker opens bridge.update
+    // around its Execute so the span keeps meaning "time inside SENSEI".
     return pipeline_->Submit(solver_.StepNumber(), solver_.Time());
   }
   instrument::Span span("bridge.update");
-  instrument::MetricsRegistry* metrics = instrument::CurrentMetrics();
-  const std::int64_t begin_ns =
-      metrics != nullptr ? instrument::Tracer::NowNs() : 0;
   data_.SetPipelineTime(solver_.StepNumber(), solver_.Time());
-  const bool ok = analysis_.Execute(data_);
-  if (metrics != nullptr) {
-    // bridge.update_seconds / solver.step_seconds is the bridge-level
-    // in-situ share: the fraction of the run spent inside SENSEI.
-    metrics->Add("bridge.update_seconds",
-                 static_cast<double>(instrument::Tracer::NowNs() - begin_ns) *
-                     1e-9);
-    metrics->Add("bridge.updates", 1.0);
-  }
-  return ok;
+  return analysis_.Execute(data_);
 }
 
 void Bridge::Finalize() {

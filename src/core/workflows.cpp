@@ -1,11 +1,14 @@
 #include "core/workflows.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "adios/sst.hpp"
 #include "core/bridge.hpp"
@@ -120,7 +123,7 @@ RankReport MakeReport(mpimini::Comm& world, bool is_sim,
   report.world_rank = world.Rank();
   report.is_sim = is_sim;
   report.step_busy_seconds = step_busy_seconds;
-  if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+  if (instrument::RankEnv* env = instrument::CurrentEnv()) {
     report.total_busy_seconds = env->busy.Seconds();
     report.host_peak_bytes =
         env->memory.HostPeakBytes() + worker_host_peak_bytes;
@@ -195,12 +198,12 @@ class Heartbeat {
         total_(total_steps),
         start_ns_(instrument::Tracer::NowNs()) {
     // Baselines for the per-interval deltas that make up a health sample.
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+    if (instrument::RankEnv* env = instrument::CurrentEnv()) {
       last_busy_ = env->busy.Seconds();
     }
     if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      last_solver_ = m->Counter("solver.step_seconds");
-      last_insitu_ = m->Counter("bridge.update_seconds");
+      last_solver_ = m->HistogramSum("solver.step");
+      last_insitu_ = m->HistogramSum("bridge.update");
       last_transport_ = m->Counter("sst.stall_seconds") +
                         m->Counter("pipeline.queue_wait_seconds");
     }
@@ -220,12 +223,12 @@ class Heartbeat {
     const int done = step_index + 1;
     if (done % interval_ != 0 && done != total_) return;
 
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
+    instrument::RankEnv* env = instrument::CurrentEnv();
     const double mem =
         env ? static_cast<double>(env->memory.HostPeakBytes()) : 0.0;
     double insitu_seconds = 0.0;
     if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      insitu_seconds = m->Counter("bridge.update_seconds");
+      insitu_seconds = m->HistogramSum("bridge.update");
     }
     const bool async = offload_seconds >= 0.0;
     std::array<double, 5> sums{mem, insitu_seconds,
@@ -238,7 +241,7 @@ class Heartbeat {
 
     // Health-sample gather: always part of the tick collective, so the
     // straggler detector works even with the metrics plane off (the busy
-    // clock is unconditional; only the span attribution needs counters).
+    // clock is unconditional; only the span attribution needs the plane).
     const instrument::RankHealthSample health = SampleHealth();
     const std::vector<instrument::RankHealthSample> samples =
         comm_.Gather<instrument::RankHealthSample>(
@@ -357,22 +360,23 @@ class Heartbeat {
   }
 
  private:
-  // One interval's busy-time delta plus the per-span counter deltas that
-  // could explain it.  The busy clock excludes comm waits by design, so a
-  // straggler's *victims* (ranks idling at the collective) do not get
-  // inflated samples — only the rank actually doing extra work does.
+  // One interval's busy-time delta plus the per-span deltas (span histogram
+  // sums and the transport wait counters) that could explain it.  The busy
+  // clock excludes comm waits by design, so a straggler's *victims* (ranks
+  // idling at the collective) do not get inflated samples — only the rank
+  // actually doing extra work does.
   instrument::RankHealthSample SampleHealth() {
     instrument::RankHealthSample sample;
     sample.rank = comm_.Rank();
     double busy = 0.0;
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+    if (instrument::RankEnv* env = instrument::CurrentEnv()) {
       busy = env->busy.Seconds();
     }
     sample.step_seconds = busy - last_busy_;
     last_busy_ = busy;
     if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      const double solver = m->Counter("solver.step_seconds");
-      const double insitu = m->Counter("bridge.update_seconds");
+      const double solver = m->HistogramSum("solver.step");
+      const double insitu = m->HistogramSum("bridge.update");
       const double transport = m->Counter("sst.stall_seconds") +
                                m->Counter("pipeline.queue_wait_seconds");
       sample.solver_seconds = solver - last_solver_;
@@ -405,10 +409,21 @@ class Heartbeat {
 // step throws an uncaught (by the workflow) exception on every rank, so the
 // crash-dump machinery can be exercised end to end from a normal binary.
 // In-situ only — in-transit endpoint ranks block in their receive loop and
-// would never observe a sim-side throw (the join would hang).
+// would never observe a sim-side throw (the join would hang).  Unset or
+// empty means off (-1); anything but a whole non-negative integer throws.
 int FailStepFromEnv() {
   const char* value = std::getenv("NEK_SENSEI_FAIL_STEP");
-  return value != nullptr ? std::atoi(value) : -1;
+  if (value == nullptr || *value == '\0') return -1;
+  int step = -1;
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, step);
+  if (ec != std::errc() || ptr != end || step < 0) {
+    throw std::invalid_argument(
+        std::string("NEK_SENSEI_FAIL_STEP must be a non-negative integer, "
+                    "got \"") +
+        value + "\"");
+  }
+  return step;
 }
 
 // Reduce every rank's metric snapshot onto world rank 0 and stash the
@@ -500,7 +515,7 @@ void SampleStepCounters(const occamini::Device* device,
   // Metrics-plane feeds: memory watermarks as gauges, cumulative pipeline
   // counters via SetTotal (idempotent for repeated step-boundary samples).
   if (auto* metrics = instrument::CurrentMetrics()) {
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+    if (instrument::RankEnv* env = instrument::CurrentEnv()) {
       metrics->Set("memory.host_bytes",
                    static_cast<double>(env->memory.HostCurrentBytes()));
       metrics->Set("memory.host_hwm_bytes",
@@ -731,6 +746,7 @@ WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
   // bytes and collective sequence exactly.
   const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
   const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
+  const int fail_step = FailStepFromEnv();
 
   mpimini::RunResult run = mpimini::Runtime::Run(
       nranks, MakeRunSettings(telemetry), [&](mpimini::Comm& comm) {
@@ -775,12 +791,9 @@ WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
     const sensei::CatalystAnalysisAdaptor* loop_catalyst =
         async ? nullptr : catalyst.get();
 
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
+    instrument::RankEnv* env = instrument::CurrentEnv();
     const double busy0 = env ? env->busy.Seconds() : 0.0;
-    std::optional<instrument::ScopedTimer> loop_timer;
-    if (env) loop_timer.emplace(env->timings, "step_loop");
     Heartbeat heartbeat(comm, telemetry, options.steps, monitor.get());
-    const int fail_step = FailStepFromEnv();
     SampleStepCounters(&device, loop_analysis, loop_catalyst, nullptr);
     for (int s = 0; s < options.steps; ++s) {
       // Step boundary first: a crash dump's tail names the step that was
@@ -795,18 +808,13 @@ WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
       if (comm.Rank() == options.straggler_rank &&
           options.straggler_seconds > 0.0) {
         // Controlled straggler: busy-spin (not sleep — the busy clock must
-        // see it) and book the time as solver work so the detector's span
-        // attribution has a known right answer.
+        // see it) under a solver.step span, so the time is booked as solver
+        // work and the detector's span attribution has a known right answer.
+        instrument::Span spin_span("solver.step");
         const std::int64_t spin0 = instrument::Tracer::NowNs();
         while (static_cast<double>(instrument::Tracer::NowNs() - spin0) *
                    1e-9 <
                options.straggler_seconds) {
-        }
-        if (auto* metrics = instrument::CurrentMetrics()) {
-          metrics->Add("solver.step_seconds",
-                       static_cast<double>(instrument::Tracer::NowNs() -
-                                           spin0) *
-                           1e-9);
         }
       }
       {
@@ -828,7 +836,6 @@ WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
     // Stop before teardown: Finalize (stream flushes, file closes) must not
     // count toward the per-step figures.
     const double step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-    if (loop_timer) loop_timer->Stop();
     if (bridge) bridge->Finalize();
     // Post-Finalize the worker (if any) is joined and its attribution is
     // folded into this rank: the full-feed sample closes the totals.
@@ -890,7 +897,7 @@ WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
       monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
     }
     mpimini::Comm group = world.Split(is_sim ? 0 : 1, world.Rank());
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
+    instrument::RankEnv* env = instrument::CurrentEnv();
     // Label this rank's trace lane with its comm group so the export
     // renders two process rows (sim / endpoint) on one timeline.
     if (instrument::Tracer* tracer = instrument::CurrentTracer()) {
@@ -946,8 +953,6 @@ WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
           (!async && adios) ? &adios->TransportStats() : nullptr;
 
       const double busy0 = env ? env->busy.Seconds() : 0.0;
-      std::optional<instrument::ScopedTimer> loop_timer;
-      if (env) loop_timer.emplace(env->timings, "step_loop");
       // Heartbeat runs on the sim group: endpoint ranks sit in their
       // receive loop and cannot join step-boundary collectives.
       Heartbeat heartbeat(group, telemetry, options.steps, monitor.get(),
@@ -978,7 +983,6 @@ WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
                        adios ? adios->WireBytes() : 0);
       }
       step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      if (loop_timer) loop_timer->Stop();
       bridge.Finalize();
       // Post-Finalize full-feed sample (see RunInSitu).
       SampleStepCounters(&device, &bridge.Analysis(), nullptr,
@@ -999,8 +1003,6 @@ WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
       analysis.Initialize(xmlcfg::Parse(options.endpoint_xml).root);
 
       const double busy0 = env ? env->busy.Seconds() : 0.0;
-      std::optional<instrument::ScopedTimer> loop_timer;
-      if (env) loop_timer.emplace(env->timings, "step_loop");
       SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
       const bool feed_e2e = group.Rank() == 0 && world.Rank() != 0 &&
                             (telemetry.heartbeat_steps > 0 ||
@@ -1040,7 +1042,6 @@ WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
         SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
       }
       step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      if (loop_timer) loop_timer->Stop();
       analysis.Finalize();
       PrintEndpointSummary();
       bytes = analysis.TotalBytesWritten();

@@ -67,8 +67,8 @@ struct InSituOptions {
   /// be switched on without recompiling — like every other pipeline knob.
   instrument::TelemetryConfig telemetry;
   /// Test/demo knob: the named rank busy-spins this long after every
-  /// solver step, feeding the extra seconds into solver.step_seconds so
-  /// the straggler detector has a controlled, span-attributable target.
+  /// solver step, under a solver.step span, so the straggler detector has a
+  /// controlled, span-attributable target.
   /// Negative rank (the default) disables the injection.
   int straggler_rank = -1;
   double straggler_seconds = 0.0;

@@ -15,8 +15,6 @@ namespace instrument {
 
 namespace {
 
-thread_local FlightRecorder* g_flightrec = nullptr;
-
 // Process-wide registry of live recorders, so the crash hooks can dump
 // every rank's ring without the runtime threading pointers into them.
 // Function-local static: recorders are always scoped inside a run/test, so
@@ -159,17 +157,11 @@ std::vector<FlightEvent> FlightRecorder::Events() const {
   return out;
 }
 
-FlightRecorder* CurrentFlightRecorder() { return g_flightrec; }
-
-FlightRecorder* SetCurrentFlightRecorder(FlightRecorder* recorder) {
-  FlightRecorder* previous = g_flightrec;
-  g_flightrec = recorder;
-  return previous;
-}
-
 void RecordFlightEvent(FlightEventKind kind, std::string_view detail,
                        std::int32_t step, double value) {
-  if (g_flightrec != nullptr) g_flightrec->Record(kind, detail, step, value);
+  if (FlightRecorder* recorder = CurrentFlightRecorder()) {
+    recorder->Record(kind, detail, step, value);
+  }
 }
 
 void SetFlightRecorderDumpDir(std::string dir) {

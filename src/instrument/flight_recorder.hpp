@@ -110,28 +110,10 @@ class FlightRecorder {
   std::atomic<std::uint64_t> head_{0};
 };
 
-/// The recorder installed for the calling thread, or nullptr.  Unlike the
-/// tracer/metrics thread-locals this is installed unconditionally by the
-/// mpimini runtime (the recorder is always-on), but feed sites still
+/// The calling thread's recorder (its RankEnv's), or nullptr.  Unlike the
+/// tracer/metrics the runtime always allocates one, but feed sites still
 /// tolerate nullptr so library code works outside a runtime.
 FlightRecorder* CurrentFlightRecorder();
-
-/// Install `recorder` for the calling thread; returns the previous one.
-FlightRecorder* SetCurrentFlightRecorder(FlightRecorder* recorder);
-
-/// RAII install for a scope (runtime rank threads, async workers, tests).
-class FlightRecorderScope {
- public:
-  explicit FlightRecorderScope(FlightRecorder* recorder)
-      : previous_(SetCurrentFlightRecorder(recorder)) {}
-  ~FlightRecorderScope() { SetCurrentFlightRecorder(previous_); }
-
-  FlightRecorderScope(const FlightRecorderScope&) = delete;
-  FlightRecorderScope& operator=(const FlightRecorderScope&) = delete;
-
- private:
-  FlightRecorder* previous_;
-};
 
 /// Record on the calling thread's recorder; no-op without one.
 void RecordFlightEvent(FlightEventKind kind, std::string_view detail,

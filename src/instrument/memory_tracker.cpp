@@ -4,10 +4,6 @@
 
 namespace instrument {
 
-namespace {
-thread_local MemoryTracker* g_current_tracker = nullptr;
-}  // namespace
-
 void MemoryTracker::Allocate(const std::string& category, std::size_t bytes) {
   owner_.Check("instrument::MemoryTracker::Allocate");
   Cat& cat = categories_[category];
@@ -58,14 +54,6 @@ void MemoryTracker::Reset() {
   peak_ = 0;
   host_current_ = 0;
   host_peak_ = 0;
-}
-
-MemoryTracker* CurrentTracker() { return g_current_tracker; }
-
-MemoryTracker* SetCurrentTracker(MemoryTracker* tracker) {
-  MemoryTracker* prev = g_current_tracker;
-  g_current_tracker = tracker;
-  return prev;
 }
 
 }  // namespace instrument

@@ -78,30 +78,13 @@ class MemoryTracker {
 /// The category treated as device (GPU) memory by the host counters.
 inline constexpr const char* kDeviceCategory = "device";
 
-/// Returns the tracker installed for the calling thread (rank), or nullptr.
+/// The calling thread's tracker (its RankEnv's, see rank_env.hpp), or
+/// nullptr outside a rank.
 ///
-/// The mpimini runtime installs a tracker per rank thread; code that
-/// allocates large buffers calls CurrentTracker() and reports to it when one
-/// is present, so the same library code runs tracked inside a rank and
-/// untracked in plain unit tests.
+/// Code that allocates large buffers calls CurrentTracker() and reports to
+/// it when one is present, so the same library code runs tracked inside a
+/// rank and untracked in plain unit tests.
 MemoryTracker* CurrentTracker();
-
-/// Install `tracker` for the calling thread; returns the previous one.
-MemoryTracker* SetCurrentTracker(MemoryTracker* tracker);
-
-/// RAII installation of a tracker for the current scope.
-class TrackerScope {
- public:
-  explicit TrackerScope(MemoryTracker* tracker)
-      : previous_(SetCurrentTracker(tracker)) {}
-  ~TrackerScope() { SetCurrentTracker(previous_); }
-
-  TrackerScope(const TrackerScope&) = delete;
-  TrackerScope& operator=(const TrackerScope&) = delete;
-
- private:
-  MemoryTracker* previous_;
-};
 
 /// A contiguous buffer of T whose bytes are reported to the rank's
 /// MemoryTracker for its whole lifetime.

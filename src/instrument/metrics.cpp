@@ -11,8 +11,6 @@ namespace instrument {
 
 namespace {
 
-thread_local MetricsRegistry* g_metrics = nullptr;
-
 // -- snapshot wire format helpers -------------------------------------------
 // Flat length-prefixed binary: ranks share one process, so host byte order
 // and native doubles are fine (the blob never leaves the machine).
@@ -218,7 +216,7 @@ void MetricsRegistry::SetTotal(std::string_view name, double total) {
 
 void MetricsRegistry::Observe(std::string_view name, double value) {
   owner_.Check("instrument::MetricsRegistry::Observe");
-  auto it = histograms_.find(std::string(name));
+  auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(std::string(name), HistogramData(DefaultLatencyEdges()))
@@ -268,6 +266,11 @@ double MetricsRegistry::Counter(const std::string& name) const {
   return it == counters_.end() ? 0.0 : it->second;
 }
 
+double MetricsRegistry::HistogramSum(const std::string& name) const {
+  auto it = histograms_.find(name);
+  return it == histograms_.end() ? 0.0 : it->second.sum;
+}
+
 const GaugeData* MetricsRegistry::Gauge(const std::string& name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
@@ -277,7 +280,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   snapshot.counters = counters_;
   snapshot.gauges = gauges_;
-  snapshot.histograms = histograms_;
+  snapshot.histograms = {histograms_.begin(), histograms_.end()};
   return snapshot;
 }
 
@@ -315,6 +318,7 @@ MetricsReport ReduceSnapshots(const std::vector<MetricsSnapshot>& per_rank) {
   report.ranks = static_cast<int>(per_rank.size());
 
   std::map<std::string, std::vector<double>> counter_values;
+  std::map<std::string, std::vector<double>> histogram_values;
   std::map<std::string, std::vector<double>> gauge_values;
   std::map<std::string, std::pair<double, double>> gauge_marks;
   for (const MetricsSnapshot& snapshot : per_rank) {
@@ -332,6 +336,7 @@ MetricsReport ReduceSnapshots(const std::vector<MetricsSnapshot>& per_rank) {
       }
     }
     for (const auto& [name, h] : snapshot.histograms) {
+      histogram_values[name].push_back(h.sum);
       auto it = report.histograms.find(name);
       if (it == report.histograms.end()) {
         report.histograms.emplace(name, h);
@@ -342,6 +347,9 @@ MetricsReport ReduceSnapshots(const std::vector<MetricsSnapshot>& per_rank) {
   }
   for (auto& [name, values] : counter_values) {
     report.counters[name] = ReduceValues(values);
+  }
+  for (auto& [name, values] : histogram_values) {
+    report.histogram_sums[name] = ReduceValues(values);
   }
   for (auto& [name, values] : gauge_values) {
     MetricStat stat = ReduceValues(values);
@@ -367,12 +375,8 @@ const MetricStat* MetricsReport::Gauge(const std::string& name) const {
 
 namespace {
 
-void WriteStat(std::ostream& out, const std::string& name,
-               const MetricStat& stat, bool gauge, bool& first) {
-  if (!first) out << ",";
-  first = false;
-  out << "\n    \"" << JsonEscape(name) << "\": {"
-      << "\"ranks\": " << stat.ranks << ", \"min\": " << JsonNumber(stat.min)
+void WriteStatObject(std::ostream& out, const MetricStat& stat, bool gauge) {
+  out << "{\"ranks\": " << stat.ranks << ", \"min\": " << JsonNumber(stat.min)
       << ", \"mean\": " << JsonNumber(stat.mean)
       << ", \"max\": " << JsonNumber(stat.max)
       << ", \"p95\": " << JsonNumber(stat.p95)
@@ -383,6 +387,14 @@ void WriteStat(std::ostream& out, const std::string& name,
         << ", \"high_watermark\": " << JsonNumber(stat.high_watermark);
   }
   out << "}";
+}
+
+void WriteStat(std::ostream& out, const std::string& name,
+               const MetricStat& stat, bool gauge, bool& first) {
+  if (!first) out << ",";
+  first = false;
+  out << "\n    \"" << JsonEscape(name) << "\": ";
+  WriteStatObject(out, stat, gauge);
 }
 
 }  // namespace
@@ -421,7 +433,13 @@ bool WriteMetricsJson(const std::string& path, const MetricsReport& report) {
       if (i) out << ", ";
       out << h.buckets[i];
     }
-    out << "]}";
+    out << "]";
+    if (const auto it = report.histogram_sums.find(name);
+        it != report.histogram_sums.end()) {
+      out << ", \"per_rank_sum\": ";
+      WriteStatObject(out, it->second, /*gauge=*/false);
+    }
+    out << "}";
   }
   // Always present, [] for a balanced run: consumers can distinguish "the
   // detector ran clean" from "an old file without the anomalies plane".
@@ -432,14 +450,6 @@ bool WriteMetricsJson(const std::string& path, const MetricsReport& report) {
   }
   out << (report.anomalies.empty() ? "]\n}\n" : "\n  ]\n}\n");
   return file.Commit();
-}
-
-MetricsRegistry* CurrentMetrics() { return g_metrics; }
-
-MetricsRegistry* SetCurrentMetrics(MetricsRegistry* registry) {
-  MetricsRegistry* previous = g_metrics;
-  g_metrics = registry;
-  return previous;
 }
 
 }  // namespace instrument

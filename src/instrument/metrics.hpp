@@ -11,8 +11,10 @@
 // rank-aggregated metrics.json instead of N per-rank files.
 //
 // Like the tracer, the plane is strictly opt-in: when no registry is
-// installed, CurrentMetrics() is one thread-local null read and every feed
-// site records nothing and allocates nothing on the rank thread.
+// installed, CurrentMetrics() returns null and every feed site records
+// nothing and allocates nothing on the rank thread.  Timed regions are not
+// fed here by hand: every instrument::Span observes its own duration into a
+// histogram named after the span (tracer.hpp).
 #pragma once
 
 #include <cstddef>
@@ -123,12 +125,15 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, GaugeData>& Gauges() const {
     return gauges_;
   }
-  [[nodiscard]] const std::map<std::string, HistogramData>& Histograms()
-      const {
+  [[nodiscard]] const std::map<std::string, HistogramData, std::less<>>&
+  Histograms() const {
     return histograms_;
   }
   /// A counter's value (0 if never fed).
   [[nodiscard]] double Counter(const std::string& name) const;
+  /// A histogram's sum of observations (0 if never observed); for a span's
+  /// histogram, the seconds spent inside that span so far.
+  [[nodiscard]] double HistogramSum(const std::string& name) const;
   /// A gauge's state (nullptr if never set).
   [[nodiscard]] const GaugeData* Gauge(const std::string& name) const;
 
@@ -140,20 +145,23 @@ class MetricsRegistry {
  private:
   std::map<std::string, double> counters_;
   std::map<std::string, GaugeData> gauges_;
-  std::map<std::string, HistogramData> histograms_;
+  /// Transparent comparator: Span close looks its histogram up by
+  /// string_view without building a key string.
+  std::map<std::string, HistogramData, std::less<>> histograms_;
   /// Single-owner audit (no-op unless NSM_THREAD_CHECKS).
   core::ThreadOwnershipChecker owner_;
 };
 
 /// Cross-rank statistics for one scalar metric.  For counters the per-rank
-/// value is the rank's total; for gauges it is the rank's high watermark.
+/// value is the rank's total; for gauges it is the rank's high watermark;
+/// for histograms it is the rank's sum of observations.
 struct MetricStat {
   int ranks = 0;
   double min = 0.0;
   double mean = 0.0;
   double max = 0.0;
   double p95 = 0.0;  ///< nearest-rank percentile over the per-rank values
-  double sum = 0.0;  ///< counters: the global total
+  double sum = 0.0;  ///< counters and histograms: the global total
   /// Load-imbalance ratio max/mean (1.0 = perfectly balanced; 0 when the
   /// mean is zero).  The quantity that exposes stragglers in Fig 2/5.
   double imbalance = 0.0;
@@ -168,6 +176,10 @@ struct MetricsReport {
   std::map<std::string, MetricStat> counters;
   std::map<std::string, MetricStat> gauges;
   std::map<std::string, HistogramData> histograms;  ///< merged buckets
+  /// Per histogram, the stat of its per-rank sums: for a span's histogram
+  /// the seconds each rank spent inside the span, so `imbalance` exposes
+  /// the rank that stepped slowest.
+  std::map<std::string, MetricStat> histogram_sums;
   /// Straggler-detector verdicts (rank 0 attaches them after the
   /// reduction); always serialized to metrics.json, [] for a clean run.
   std::vector<AnomalyRecord> anomalies;
@@ -182,7 +194,8 @@ struct MetricsReport {
 };
 
 /// Reduce per-rank snapshots into one report: min/mean/max/p95 + imbalance
-/// per metric, counter sums, gauge watermarks, merged histograms.  The
+/// per metric (a histogram's per-rank value is its sum), counter sums,
+/// gauge watermarks, merged histograms.  The
 /// reduction is deterministic in the partitioning: splitting the same
 /// per-item work across 4 or 8 ranks yields identical counter totals.
 [[nodiscard]] MetricsReport ReduceSnapshots(
@@ -192,26 +205,9 @@ struct MetricsReport {
 /// killed run never leaves a truncated file.  Returns false on I/O failure.
 bool WriteMetricsJson(const std::string& path, const MetricsReport& report);
 
-/// The registry installed for the calling thread (rank), or nullptr.
-/// nullptr means the metrics plane is disabled: feed sites then skip all
-/// recording and perform no allocations.
+/// The calling thread's registry (its RankEnv's), or nullptr.  nullptr
+/// means the metrics plane is disabled: feed sites then skip all recording
+/// and perform no allocations.
 MetricsRegistry* CurrentMetrics();
-
-/// Install `registry` for the calling thread; returns the previous one.
-MetricsRegistry* SetCurrentMetrics(MetricsRegistry* registry);
-
-/// RAII installation of a registry for the current scope (runtime / tests).
-class MetricsScope {
- public:
-  explicit MetricsScope(MetricsRegistry* registry)
-      : previous_(SetCurrentMetrics(registry)) {}
-  ~MetricsScope() { SetCurrentMetrics(previous_); }
-
-  MetricsScope(const MetricsScope&) = delete;
-  MetricsScope& operator=(const MetricsScope&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-};
 
 }  // namespace instrument

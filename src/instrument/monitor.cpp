@@ -56,10 +56,10 @@ std::string RenderPrometheus(const MetricsReport& report) {
   std::string out;
   out += "# nsm run-health metrics (" + std::to_string(report.ranks) +
          " ranks)\n";
-  // A metric may be published through more than one instrument (e.g.
-  // solver.step_seconds is both a counter and a histogram).  Prometheus
-  // allows each family name exactly one TYPE, so later families that
-  // collide with an already-emitted name get a type suffix.  The report
+  // A name may be published through more than one instrument (a counter
+  // and a span histogram could share one).  Prometheus allows each family
+  // name exactly one TYPE, so later families that collide with an
+  // already-emitted name get a type suffix.  The report
   // maps are ordered, so the renaming is deterministic.
   std::set<std::string> used;
   for (const auto& [name, stat] : report.counters) {

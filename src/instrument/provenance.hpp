@@ -62,7 +62,7 @@ struct StepProvenance {
 /// previous one so scopes nest.
 const StepProvenance* SetCurrentProvenance(const StepProvenance* provenance);
 
-/// RAII installer, mirroring TracerScope/MetricsScope.
+/// RAII installer; nested scopes restore the enclosing context.
 class ProvenanceScope {
  public:
   explicit ProvenanceScope(const StepProvenance* provenance)

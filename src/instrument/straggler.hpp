@@ -31,8 +31,8 @@ namespace instrument {
 struct RankHealthSample {
   std::int32_t rank = -1;
   double step_seconds = 0.0;       ///< busy seconds this interval
-  double solver_seconds = 0.0;     ///< solver.step_seconds delta
-  double insitu_seconds = 0.0;     ///< bridge.update_seconds delta
+  double solver_seconds = 0.0;     ///< solver.step span-seconds delta
+  double insitu_seconds = 0.0;     ///< bridge.update span-seconds delta
   double transport_seconds = 0.0;  ///< sst stall + pipeline wait delta
 };
 

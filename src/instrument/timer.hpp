@@ -10,8 +10,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace instrument {
@@ -87,63 +85,6 @@ class BusyClock {
   double accum_ = 0.0;
   bool running_ = false;
   double resume_at_ = 0.0;
-};
-
-/// Named accumulating timers, one registry per rank.
-///
-/// `Accumulate("pressure_solve", dt)` adds to a named bucket; buckets are
-/// reported at the end of a run.  Not thread-safe by design: each rank owns
-/// its registry.
-class TimingRegistry {
- public:
-  void Accumulate(const std::string& name, double seconds) {
-    entries_[name].seconds += seconds;
-    entries_[name].count += 1;
-  }
-
-  struct Entry {
-    double seconds = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  [[nodiscard]] const std::map<std::string, Entry>& Entries() const {
-    return entries_;
-  }
-
-  [[nodiscard]] double Total(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0.0 : it->second.seconds;
-  }
-
-  void Clear() { entries_.clear(); }
-
- private:
-  std::map<std::string, Entry> entries_;
-};
-
-/// RAII scope that adds its lifetime to a TimingRegistry bucket.
-class ScopedTimer {
- public:
-  ScopedTimer(TimingRegistry& registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-  ~ScopedTimer() { Stop(); }
-
-  /// Close the timed section now (idempotent); lets callers exclude
-  /// teardown that happens later in the same scope.
-  void Stop() {
-    if (stopped_) return;
-    stopped_ = true;
-    registry_.Accumulate(name_, timer_.Elapsed());
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimingRegistry& registry_;
-  std::string name_;
-  WallTimer timer_;
-  bool stopped_ = false;
 };
 
 /// Running univariate statistics (Welford).

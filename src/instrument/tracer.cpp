@@ -4,13 +4,12 @@
 #include <chrono>
 #include <cstdio>
 
+#include "instrument/metrics.hpp"
 #include "instrument/report.hpp"
 
 namespace instrument {
 
 namespace {
-thread_local Tracer* g_tracer = nullptr;
-
 void CopyName(char* dst, std::size_t capacity, std::string_view name) {
   const std::size_t n = std::min(name.size(), capacity);
   std::memcpy(dst, name.data(), n);
@@ -18,22 +17,14 @@ void CopyName(char* dst, std::size_t capacity, std::string_view name) {
 }
 }  // namespace
 
-Tracer* CurrentTracer() { return g_tracer; }
-
-Tracer* SetCurrentTracer(Tracer* tracer) {
-  Tracer* previous = g_tracer;
-  g_tracer = tracer;
-  return previous;
-}
-
 Tracer::Tracer(int rank, Options options)
     : rank_(rank),
       options_(options),
       tid_(rank),
       thread_label_("rank " + std::to_string(rank)) {
   ring_.resize(options_.span_capacity);
-  events_.reserve(options_.event_capacity);
-  samples_.reserve(options_.event_capacity);
+  events_.reserve(kEventCapacity);
+  samples_.reserve(kEventCapacity);
 }
 
 std::int64_t Tracer::NowNs() {
@@ -44,7 +35,7 @@ std::int64_t Tracer::NowNs() {
 
 void Tracer::Instant(std::string_view name) {
   owner_.Check("instrument::Tracer::Instant");
-  if (events_.size() >= options_.event_capacity) {
+  if (events_.size() >= kEventCapacity) {
     ++dropped_events_;
     return;
   }
@@ -57,7 +48,7 @@ void Tracer::Instant(std::string_view name) {
 void Tracer::SampleCounter(std::string_view name, double value) {
   owner_.Check("instrument::Tracer::SampleCounter");
   counters_[std::string(name)] = value;
-  if (samples_.size() >= options_.event_capacity) {
+  if (samples_.size() >= kEventCapacity) {
     ++dropped_events_;
     return;
   }
@@ -75,7 +66,7 @@ void Tracer::AddCounter(std::string_view name, double delta) {
 
 void Tracer::Flow(std::uint64_t id, int step, bool start) {
   owner_.Check("instrument::Tracer::Flow");
-  if (flows_.size() >= options_.event_capacity) {
+  if (flows_.size() >= kEventCapacity) {
     ++dropped_events_;
     return;
   }
@@ -128,6 +119,24 @@ void Tracer::CloseSpan(std::string_view name, std::int64_t start_ns,
 void Tracer::SkipWait(std::int64_t duration_ns) {
   ++skipped_waits_;
   skipped_wait_ns_ += duration_ns;
+}
+
+void Span::Close() {
+  const std::int64_t end_ns = Tracer::NowNs();
+  const std::int64_t duration_ns = end_ns - start_ns_;
+  if (metrics_ != nullptr) {
+    metrics_->Observe(name_, static_cast<double>(duration_ns) * 1e-9);
+    metrics_ = nullptr;
+  }
+  Tracer* tracer = tracer_;
+  tracer_ = nullptr;
+  if (tracer == nullptr) return;
+  if (tracer->depth_ > 0) --tracer->depth_;
+  if (mode_ == Mode::kThreshold && duration_ns < tracer->options_.wait_min_ns) {
+    tracer->SkipWait(duration_ns);
+    return;
+  }
+  tracer->CloseSpan(name_, start_ns_, end_ns, depth_);
 }
 
 std::vector<Tracer::SpanRecord> Tracer::Spans() const {

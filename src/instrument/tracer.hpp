@@ -2,12 +2,17 @@
 //
 // The paper's figures answer "how much slower is in situ?"; the tracer
 // answers "where inside a step did that time go?".  Each rank thread owns
-// one Tracer (installed by the mpimini runtime next to its BusyClock and
+// one Tracer (in its RankEnv, rank_env.hpp, next to its BusyClock and
 // MemoryTracker), so the hot path takes no locks: opening a span is two
 // steady_clock reads plus a ring-slot write when it closes.  Storage is
 // preallocated at construction; when the ring wraps, the oldest spans are
 // overwritten and a drop counter records the truncation so reports can say
 // so (Bridge::Finalize prints SummaryLine() exactly for this reason).
+//
+// instrument::Span is the one way to time a region: its close feeds the
+// rank's tracer (the trace record) and, when the metrics plane is on, a
+// duration histogram named after the span (metrics.hpp) — one clock pair,
+// one window, one name for both.
 //
 // Timestamps are absolute steady_clock nanoseconds, shared by all rank
 // threads of a process, so per-rank recordings merge onto one timeline in
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "core/thread_annotations.hpp"
+#include "instrument/rank_env.hpp"
 
 namespace instrument {
 
@@ -31,12 +37,14 @@ namespace instrument {
 /// every mutating entry point asserts it runs on the owning thread.
 class Tracer {
  public:
+  /// Instant-event, counter-sample and flow capacity (drop-newest when
+  /// full).
+  static constexpr std::size_t kEventCapacity = 1 << 14;
+
   struct Options {
     /// Span ring capacity; the ring never grows and overwrites the oldest
     /// record when full (dropped spans are counted).
     std::size_t span_capacity = 1 << 16;
-    /// Instant-event and counter-sample capacity (drop-newest when full).
-    std::size_t event_capacity = 1 << 14;
     /// Spans opened in Span::Mode::kThreshold shorter than this are not
     /// recorded individually, only tallied — comm waits fire once per CG
     /// iteration and would otherwise flood the ring.
@@ -206,30 +214,15 @@ class Tracer {
   core::ThreadOwnershipChecker owner_;
 };
 
-/// The tracer installed for the calling thread (rank), or nullptr.
-/// nullptr means tracing is disabled: Span construction is then a single
-/// thread-local read and records nothing.
+/// The calling thread's tracer (its RankEnv's), or nullptr.  nullptr means
+/// tracing is disabled.
 Tracer* CurrentTracer();
 
-/// Install `tracer` for the calling thread; returns the previous one.
-Tracer* SetCurrentTracer(Tracer* tracer);
-
-/// RAII installation of a tracer for the current scope (runtime / tests).
-class TracerScope {
- public:
-  explicit TracerScope(Tracer* tracer) : previous_(SetCurrentTracer(tracer)) {}
-  ~TracerScope() { SetCurrentTracer(previous_); }
-
-  TracerScope(const TracerScope&) = delete;
-  TracerScope& operator=(const TracerScope&) = delete;
-
- private:
-  Tracer* previous_;
-};
-
-/// RAII span.  Opens against the calling thread's tracer (no-op when none
-/// is installed); closes — recording name, start, duration, depth — on
-/// destruction or an explicit End().
+/// RAII span.  Opens against the calling thread's RankEnv and closes —
+/// on destruction or an explicit End() — into its tracer (name, start,
+/// duration, depth) and its metrics registry (the duration in seconds,
+/// observed into a histogram named after the span).  With neither
+/// installed the span is one thread-local read and takes no clock reading.
 ///
 /// The name is only read at close, so callers may pass string literals or
 /// any string that outlives the span body.
@@ -237,42 +230,45 @@ class Span {
  public:
   enum class Mode {
     kAlways,     ///< record every instance
-    kThreshold,  ///< record only if >= Options::wait_min_ns (comm waits)
+    kThreshold,  ///< trace only if >= Options::wait_min_ns (comm waits);
+                 ///< the histogram still sees every instance
   };
 
   explicit Span(std::string_view name, Mode mode = Mode::kAlways)
-      : Span(CurrentTracer(), name, mode) {}
-
-  Span(Tracer* tracer, std::string_view name, Mode mode = Mode::kAlways)
-      : tracer_(tracer), name_(name), mode_(mode) {
-    if (tracer_ != nullptr) {
-      depth_ = tracer_->OpenSpan();
-      start_ns_ = Tracer::NowNs();
+      : name_(name), mode_(mode) {
+    if (const RankEnv* env = CurrentEnv()) {
+      Open(env->tracer.get(), env->metrics.get());
     }
+  }
+
+  /// Records into `tracer` only, whatever env is installed.
+  Span(Tracer* tracer, std::string_view name, Mode mode = Mode::kAlways)
+      : name_(name), mode_(mode) {
+    Open(tracer, nullptr);
   }
 
   ~Span() { End(); }
 
   /// Close the span early (e.g. to exclude teardown); idempotent.
   void End() {
-    if (tracer_ == nullptr) return;
-    const std::int64_t end_ns = Tracer::NowNs();
-    Tracer* tracer = tracer_;
-    tracer_ = nullptr;
-    if (tracer->depth_ > 0) --tracer->depth_;
-    if (mode_ == Mode::kThreshold &&
-        end_ns - start_ns_ < tracer->options_.wait_min_ns) {
-      tracer->SkipWait(end_ns - start_ns_);
-      return;
-    }
-    tracer->CloseSpan(name_, start_ns_, end_ns, depth_);
+    if (tracer_ != nullptr || metrics_ != nullptr) Close();
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  Tracer* tracer_;
+  void Open(Tracer* tracer, MetricsRegistry* metrics) {
+    tracer_ = tracer;
+    metrics_ = metrics;
+    if (tracer_ == nullptr && metrics_ == nullptr) return;
+    if (tracer_ != nullptr) depth_ = tracer_->OpenSpan();
+    start_ns_ = Tracer::NowNs();
+  }
+  void Close();
+
+  Tracer* tracer_ = nullptr;
+  MetricsRegistry* metrics_ = nullptr;
   std::string_view name_;
   Mode mode_;
   std::int64_t start_ns_ = 0;

@@ -8,47 +8,6 @@
 
 namespace mpimini {
 
-namespace {
-thread_local RankEnv* g_env = nullptr;
-
-class EnvScope {
- public:
-  explicit EnvScope(RankEnv* env) : previous_(g_env) { g_env = env; }
-  ~EnvScope() { g_env = previous_; }
-  EnvScope(const EnvScope&) = delete;
-  EnvScope& operator=(const EnvScope&) = delete;
-
- private:
-  RankEnv* previous_;
-};
-}  // namespace
-
-RankEnv* CurrentEnv() { return g_env; }
-
-WorkerEnvScope::WorkerEnvScope(RankEnv* env)
-    : env_(env),
-      previous_env_(g_env),
-      previous_tracker_(instrument::SetCurrentTracker(env ? &env->memory
-                                                          : nullptr)),
-      previous_tracer_(
-          instrument::SetCurrentTracer(env ? env->tracer.get() : nullptr)),
-      previous_metrics_(instrument::SetCurrentMetrics(
-          env ? env->metrics.get() : nullptr)),
-      previous_flightrec_(instrument::SetCurrentFlightRecorder(
-          env ? env->flightrec.get() : nullptr)) {
-  g_env = env_;
-  if (env_) env_->busy.Resume();
-}
-
-WorkerEnvScope::~WorkerEnvScope() {
-  if (env_) env_->busy.Pause();
-  g_env = previous_env_;
-  instrument::SetCurrentFlightRecorder(previous_flightrec_);
-  instrument::SetCurrentMetrics(previous_metrics_);
-  instrument::SetCurrentTracer(previous_tracer_);
-  instrument::SetCurrentTracker(previous_tracker_);
-}
-
 double RunResult::MeanBusySeconds() const {
   if (ranks.empty()) return 0.0;
   double sum = 0.0;
@@ -116,9 +75,10 @@ RunResult Runtime::Run(int nranks, const RunSettings& settings,
       env->metrics = std::make_shared<instrument::MetricsRegistry>();
     }
     // Always-on (unlike tracer/metrics): the whole point of the flight
-    // recorder is to have evidence for failures nobody opted into.
-    env->flightrec = std::make_shared<instrument::FlightRecorder>(
-        r, settings.flight_capacity);
+    // recorder is to have evidence for failures nobody opted into.  Events
+    // are rare — step boundaries, stalls, errors — so the default few
+    // hundred slots hold minutes of history.
+    env->flightrec = std::make_shared<instrument::FlightRecorder>(r);
     envs.push_back(std::move(env));
   }
 
@@ -129,14 +89,8 @@ RunResult Runtime::Run(int nranks, const RunSettings& settings,
   instrument::WallTimer wall;
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
-      RankEnv* env = envs[static_cast<std::size_t>(r)].get();
-      EnvScope env_scope(env);
-      instrument::TrackerScope tracker_scope(&env->memory);
-      instrument::TracerScope tracer_scope(env->tracer.get());
-      instrument::MetricsScope metrics_scope(env->metrics.get());
-      instrument::FlightRecorderScope flightrec_scope(env->flightrec.get());
+      instrument::RankScope rank_scope(envs[static_cast<std::size_t>(r)].get());
       Comm comm = WorldMaker(world_state, r);
-      env->busy.Resume();
       try {
         body(comm);
       } catch (const std::exception& e) {
@@ -148,7 +102,6 @@ RunResult Runtime::Run(int nranks, const RunSettings& settings,
                                       "non-std exception");
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }
-      env->busy.Pause();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -178,7 +131,6 @@ RunResult Runtime::Run(int nranks, const RunSettings& settings,
     for (const auto& [name, bytes] : env.memory.ByCategory()) {
       m.peak_by_category[name] = env.memory.PeakBytes(name);
     }
-    m.timings = env.timings;
     result.ranks.push_back(std::move(m));
     if (env.tracer) {
       result.tracers.push_back(envs[static_cast<std::size_t>(r)]->tracer);

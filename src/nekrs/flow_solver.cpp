@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "instrument/metrics.hpp"
 #include "instrument/tracer.hpp"
 
 namespace nekrs {
@@ -209,20 +208,9 @@ void FlowSolver::Step() {
   // Span taxonomy (see DESIGN.md): solver.step wraps the whole update;
   // the explicit/advective stage, the implicit velocity solves, and the
   // pressure projection each get a child span so telemetry can attribute
-  // nearly all of a step's wall time to a named stage.
+  // nearly all of a step's wall time to a named stage.  Each span is also
+  // the stage's duration histogram when the metrics plane is on.
   instrument::Span step_span("solver.step");
-  // Per-substep second counters for the metrics plane: one NowNs pair per
-  // stage, taken only when a registry is installed (marks stay 0 otherwise).
-  instrument::MetricsRegistry* metrics = instrument::CurrentMetrics();
-  const std::int64_t step_begin_ns =
-      metrics != nullptr ? instrument::Tracer::NowNs() : 0;
-  std::int64_t stage_mark_ns = step_begin_ns;
-  auto stage_done = [&](const char* counter) {
-    if (metrics == nullptr) return;
-    const std::int64_t now = instrument::Tracer::NowNs();
-    metrics->Add(counter, static_cast<double>(now - stage_mark_ns) * 1e-9);
-    stage_mark_ns = now;
-  };
   const bool first = (step_ == 0) || first_order_next_;
   first_order_next_ = false;
   instrument::Span advection_span("solver.advection");
@@ -266,7 +254,6 @@ void FlowSolver::Step() {
   device_.Launch("gradp",
                  [&] { ops_.Gradient(Dev(pr_), Dev(gx_), Dev(gy_), Dev(gz_)); });
   advection_span.End();
-  stage_done("solver.advection_seconds");
   instrument::Span helmholtz_span("solver.helmholtz");
 
   struct Momentum {
@@ -328,7 +315,6 @@ void FlowSolver::Step() {
   }
 
   helmholtz_span.End();
-  stage_done("solver.helmholtz_seconds");
 
   // Pressure projection: A phi = -b0 B div(u*), then u -= grad(phi)/b0.
   {
@@ -379,7 +365,6 @@ void FlowSolver::Step() {
       }
     });
   }
-  stage_done("solver.pressure_seconds");
 
   if (config_.solve_temperature) {
     instrument::Span temperature_span("solver.temperature");
@@ -410,7 +395,6 @@ void FlowSolver::Step() {
     stats_.temperature_iterations = result.iterations;
     Copy(keep, prev);
   }
-  stage_done("solver.temperature_seconds");
 
   // NekRS-style stabilization: attenuate the top Legendre modes of every
   // prognostic field, then restore C0 continuity by averaging shared nodes.
@@ -455,14 +439,6 @@ void FlowSolver::Step() {
   time_ += dt;
   dt_prev_ = dt;
   ++step_;
-  if (metrics != nullptr) {
-    const double step_seconds =
-        static_cast<double>(instrument::Tracer::NowNs() - step_begin_ns) *
-        1e-9;
-    metrics->Add("solver.steps", 1.0);
-    metrics->Add("solver.step_seconds", step_seconds);
-    metrics->Observe("solver.step_seconds", step_seconds);
-  }
 }
 
 double FlowSolver::KineticEnergy() {

@@ -84,11 +84,8 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
 
     render::Framebuffer fb(options_.width, options_.height);
     fb.Clear(spec.background);
-    instrument::MetricsRegistry* metrics = instrument::CurrentMetrics();
     {
       instrument::Span render_span("catalyst.render");
-      const std::int64_t begin_ns =
-          metrics != nullptr ? instrument::Tracer::NowNs() : 0;
       if (view.isovalue) {
         const render::TriangleMesh surface = render::ExtractIsosurface(
             *mesh, iso_array, *view.isovalue, view.array,
@@ -99,24 +96,10 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
       } else {
         last_stats_ = render::RasterizeGrid(*mesh, spec, camera, fb);
       }
-      if (metrics != nullptr) {
-        metrics->Observe(
-            "catalyst.render_seconds",
-            static_cast<double>(instrument::Tracer::NowNs() - begin_ns) *
-                1e-9);
-      }
     }
     {
       instrument::Span composite_span("catalyst.composite");
-      const std::int64_t begin_ns =
-          metrics != nullptr ? instrument::Tracer::NowNs() : 0;
       render::CompositeToRoot(comm, fb, /*root=*/0);
-      if (metrics != nullptr) {
-        metrics->Observe(
-            "catalyst.composite_seconds",
-            static_cast<double>(instrument::Tracer::NowNs() - begin_ns) *
-                1e-9);
-      }
     }
 
     if (comm.Rank() == 0 && options_.scalar_bar) {
@@ -134,7 +117,7 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
                             ? render::WritePpm(fb, name)
                             : render::WritePng(fb, name);
       ++images_written_;
-      if (metrics != nullptr) {
+      if (auto* metrics = instrument::CurrentMetrics()) {
         metrics->SetTotal("catalyst.bytes_written",
                           static_cast<double>(bytes_written_));
         metrics->SetTotal("catalyst.images",

@@ -1,5 +1,6 @@
 #include "sensei/configurable_analysis.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -251,14 +252,28 @@ instrument::TelemetryConfig ParseTelemetryConfig(const xmlcfg::Element& root) {
   config.enabled = telemetry->AttrInt("enabled", 1) != 0;
   config.trace_path = telemetry->Attr("trace");
   config.summary_path = telemetry->Attr("summary");
+  // Bounds: every rank's tracer allocates `capacity` span records up
+  // front, and wait_min_seconds becomes an int64 nanosecond threshold
+  // (nan/inf/huge values would overflow that cast).
+  constexpr long kMaxCapacity = 1L << 22;
+  constexpr double kMaxWaitMinSeconds = 60.0;
   const long capacity = telemetry->AttrInt(
       "capacity", static_cast<long>(config.span_capacity));
-  if (capacity < 1) {
-    throw std::invalid_argument("sensei: telemetry capacity must be >= 1");
+  if (capacity < 1 || capacity > kMaxCapacity) {
+    throw std::invalid_argument(
+        "sensei: telemetry capacity must be in [1, " +
+        std::to_string(kMaxCapacity) + "], got " + std::to_string(capacity));
   }
   config.span_capacity = static_cast<std::size_t>(capacity);
-  config.wait_min_seconds =
+  const double wait_min_seconds =
       telemetry->AttrDouble("wait_min_seconds", config.wait_min_seconds);
+  if (!std::isfinite(wait_min_seconds) || wait_min_seconds < 0.0 ||
+      wait_min_seconds > kMaxWaitMinSeconds) {
+    throw std::invalid_argument(
+        "sensei: telemetry wait_min_seconds must be a finite number in "
+        "[0, 60], got \"" + telemetry->Attr("wait_min_seconds") + "\"");
+  }
+  config.wait_min_seconds = wait_min_seconds;
   // Metrics plane: metrics="path" requests the rank-aggregated
   // metrics.json; heartbeat="N" the rank-0 progress line every N steps.
   config.metrics_path = telemetry->Attr("metrics");

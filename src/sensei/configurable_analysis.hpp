@@ -117,7 +117,9 @@ std::vector<std::string> SplitList(const std::string& csv);
 /// Parse the optional <telemetry trace="..." summary="..." capacity="..."/>
 /// child of a <sensei> root into a TelemetryConfig.  Presence of the element
 /// enables telemetry; absence returns the all-disabled default, so existing
-/// configurations are unaffected.
+/// configurations are unaffected.  Throws std::invalid_argument naming the
+/// attribute when capacity is outside [1, 2^22] or wait_min_seconds is not
+/// a finite number of seconds in [0, 60].
 [[nodiscard]] instrument::TelemetryConfig ParseTelemetryConfig(
     const xmlcfg::Element& root);
 

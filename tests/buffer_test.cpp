@@ -6,6 +6,7 @@
 
 #include "core/buffer.hpp"
 #include "instrument/memory_tracker.hpp"
+#include "instrument/rank_env.hpp"
 
 namespace {
 
@@ -101,8 +102,9 @@ TEST(BufferTest, AsChecksAlignmentAndDivisibility) {
 }
 
 TEST(BufferTest, TracksMemoryByCategory) {
-  instrument::MemoryTracker tracker;
-  instrument::TrackerScope scope(&tracker);
+  instrument::RankEnv env;
+  instrument::RankScope scope(&env);
+  instrument::MemoryTracker& tracker = env.memory;
   {
     Buffer b("staging", 512);
     EXPECT_EQ(tracker.CurrentBytes("staging"), 512u);
@@ -114,8 +116,9 @@ TEST(BufferTest, TracksMemoryByCategory) {
 }
 
 TEST(BufferTest, DetachTrackingReleasesTheBooks) {
-  instrument::MemoryTracker tracker;
-  instrument::TrackerScope scope(&tracker);
+  instrument::RankEnv env;
+  instrument::RankScope scope(&env);
+  instrument::MemoryTracker& tracker = env.memory;
   Buffer b("staging", 256);
   EXPECT_EQ(tracker.CurrentBytes("staging"), 256u);
   b.DetachTracking();

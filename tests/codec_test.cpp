@@ -4,6 +4,7 @@
 // malformed streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +13,7 @@
 
 #include "codec/codec.hpp"
 #include "instrument/flight_recorder.hpp"
+#include "instrument/rank_env.hpp"
 
 namespace {
 
@@ -51,7 +53,8 @@ void ExpectLosslessRoundTrip(std::span<const std::byte> raw, bool delta) {
   const core::Buffer wire = Encode(ShuffleRle(delta), raw);
   const core::Buffer back = Decode(Kind::kShuffleRle, wire.bytes(), raw.size());
   ASSERT_EQ(back.size(), raw.size());
-  EXPECT_EQ(std::memcmp(back.data(), raw.data(), raw.size()), 0);
+  // std::equal, not memcmp: the empty case has null data pointers.
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), back.bytes().begin()));
 }
 
 // ---- lossless shuffle_rle ---------------------------------------------------
@@ -147,8 +150,10 @@ TEST(ShuffleRleTest, RawStoreFallbackLandsInTheFlightRecorder) {
   // The raw-store degrade is a run-health event: with a flight recorder
   // installed, the encoder logs a codec_fallback naming the frame type and
   // the payload size, so a post-mortem explains why the wire stayed fat.
-  instrument::FlightRecorder recorder(0, 32);
-  instrument::FlightRecorderScope scope(&recorder);
+  instrument::RankEnv env;
+  env.flightrec = std::make_shared<instrument::FlightRecorder>(0, 32);
+  instrument::FlightRecorder& recorder = *env.flightrec;
+  instrument::RankScope scope(&env);
 
   std::vector<double> smooth(512);
   for (std::size_t i = 0; i < smooth.size(); ++i) {

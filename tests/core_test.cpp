@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,6 +12,7 @@
 #include "sensei/checkpoint_adaptor.hpp"
 #include "core/nek_data_adaptor.hpp"
 #include "core/workflows.hpp"
+#include "instrument/flight_recorder.hpp"
 #include "mpimini/runtime.hpp"
 #include "nekrs/cases.hpp"
 
@@ -447,8 +449,8 @@ TEST(WorkflowMetricsTest, InSituPlaneProducesAggregatedReportAndJson) {
   nek_sensei::InSituOptions options;
   options.flow = SmallCase();
   options.steps = 4;
-  // Pin sync: bridge.updates counts every inline Update call (8); the async
-  // pipeline only counts executed (due) jobs.
+  // Pin sync: a bridge.update span times every inline Update call (8); the
+  // async pipeline only spans executed (due) jobs.
   options.sensei_xml =
       "<sensei><pipeline mode=\"sync\"/>"
       "<analysis type=\"catalyst\" frequency=\"2\" output=\"" + dir +
@@ -463,16 +465,24 @@ TEST(WorkflowMetricsTest, InSituPlaneProducesAggregatedReportAndJson) {
   const auto& report = metrics.metrics_report;
   ASSERT_FALSE(report.Empty());
   EXPECT_EQ(report.ranks, 2);
-  const auto& step = report.counters.at("solver.step_seconds");
+  // Per-rank step seconds (each rank's solver.step histogram sum) keep the
+  // cross-rank spread and imbalance.
+  const auto& step = report.histogram_sums.at("solver.step");
   EXPECT_EQ(step.ranks, 2);
   EXPECT_GT(step.min, 0.0);
   EXPECT_GE(step.max, step.mean);
   EXPECT_GE(step.imbalance, 1.0);
-  EXPECT_DOUBLE_EQ(report.CounterSum("solver.steps"), 8.0);
-  EXPECT_DOUBLE_EQ(report.CounterSum("bridge.updates"), 8.0);
+  EXPECT_DOUBLE_EQ(step.sum, report.histograms.at("solver.step").sum);
+  EXPECT_EQ(report.histograms.at("solver.step").count, 8u);
+  EXPECT_EQ(report.histograms.at("bridge.update").count, 8u);
   ASSERT_NE(report.Gauge("memory.host_hwm_bytes"), nullptr);
   EXPECT_GT(report.Gauge("memory.host_hwm_bytes")->high_watermark, 0.0);
-  EXPECT_GT(report.histograms.at("solver.step_seconds").count, 0u);
+  const std::string json = [&] {
+    std::ifstream in(dir + "/metrics.json");
+    return std::string{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+  }();
+  EXPECT_NE(json.find("\"per_rank_sum\": {\"ranks\": 2"), std::string::npos);
   EXPECT_TRUE(std::filesystem::exists(dir + "/metrics.json"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.json.tmp"));
 }
@@ -489,7 +499,7 @@ TEST(WorkflowMetricsTest, XmlTelemetryAttributesEnablePlaneAndHeartbeat) {
       "\"/></sensei>";
   const auto metrics = nek_sensei::RunInSitu(2, options);
   ASSERT_FALSE(metrics.metrics_report.Empty());
-  EXPECT_DOUBLE_EQ(metrics.metrics_report.CounterSum("solver.steps"), 8.0);
+  EXPECT_EQ(metrics.metrics_report.histograms.at("solver.step").count, 8u);
   EXPECT_TRUE(std::filesystem::exists(dir + "/metrics.json"));
 }
 
@@ -555,7 +565,7 @@ TEST(WorkflowMetricsTest, InTransitPlaneCapturesSstBackpressure) {
   const auto& report = metrics.metrics_report;
   ASSERT_FALSE(report.Empty());
   EXPECT_EQ(report.ranks, 3);  // 2 sim + 1 endpoint
-  EXPECT_DOUBLE_EQ(report.CounterSum("solver.steps"), 8.0);
+  EXPECT_EQ(report.histograms.at("solver.step").count, 8u);
   const instrument::MetricStat* queue = report.Gauge("sst.queue_depth");
   ASSERT_NE(queue, nullptr);
   EXPECT_GE(queue->high_watermark, 1.0);
@@ -630,6 +640,94 @@ TEST(WorkflowMetricsTest, DisabledPlaneLeavesReportEmpty) {
   options.sensei_xml = "<sensei/>";
   const auto metrics = nek_sensei::RunInSitu(2, options);
   EXPECT_TRUE(metrics.metrics_report.Empty());
+}
+
+TEST(WorkflowMetricsTest, SpanHistogramsAgreeWithTraceInSyncAndAsync) {
+  // One timer per region: each span's histogram and its trace records come
+  // from the same clock pair, so counts match exactly and sums to rounding
+  // — inline, and when the update runs on the async worker's lane.
+  for (const std::string mode : {"sync", "async"}) {
+    const std::string dir = TempSubdir("wf_span_hist_" + mode);
+    nek_sensei::InSituOptions options;
+    options.flow = SmallCase();
+    options.steps = 4;
+    options.sensei_xml =
+        "<sensei><pipeline mode=\"" + mode + "\"/>"
+        "<analysis type=\"catalyst\" frequency=\"2\" output=\"" + dir +
+        "\" array=\"velocity\" magnitude=\"1\" width=\"48\" height=\"32\"/>"
+        "</sensei>";
+    options.telemetry.enabled = true;
+    options.telemetry.metrics = true;
+
+    const auto metrics = nek_sensei::RunInSitu(2, options);
+    const auto& trace = metrics.telemetry;
+    const auto& report = metrics.metrics_report;
+    ASSERT_EQ(trace.dropped_spans, 0u) << mode;
+    for (const std::string name : {"solver.step", "bridge.update",
+                                   "catalyst.render", "catalyst.composite"}) {
+      SCOPED_TRACE(mode + " " + name);
+      ASSERT_EQ(report.histograms.count(name), 1u);
+      const instrument::HistogramData& h = report.histograms.at(name);
+      EXPECT_GT(h.count, 0u);
+      EXPECT_EQ(h.count, trace.SpanCount(name));
+      const double traced = trace.SpanTotalSeconds(name);
+      EXPECT_NEAR(h.sum, traced, 1e-9 * traced);
+    }
+  }
+}
+
+// ---- NEK_SENSEI_FAIL_STEP fault injection ------------------------------------
+
+namespace {
+
+nek_sensei::InSituOptions FailStepOptions() {
+  nek_sensei::InSituOptions options;
+  options.flow = SmallCase();
+  options.steps = 3;
+  options.use_sensei = false;
+  return options;
+}
+
+}  // namespace
+
+TEST(FailStepEnvTest, UnsetOrEmptyMeansOff) {
+  unsetenv("NEK_SENSEI_FAIL_STEP");
+  EXPECT_NO_THROW(nek_sensei::RunInSitu(1, FailStepOptions()));
+  setenv("NEK_SENSEI_FAIL_STEP", "", 1);
+  EXPECT_NO_THROW(nek_sensei::RunInSitu(1, FailStepOptions()));
+  unsetenv("NEK_SENSEI_FAIL_STEP");
+}
+
+TEST(FailStepEnvTest, MalformedValueIsRejectedBeforeTheRun) {
+  for (const char* bad : {"abc", "-1", "2x", " 2", "1e3", "99999999999"}) {
+    setenv("NEK_SENSEI_FAIL_STEP", bad, 1);
+    try {
+      (void)nek_sensei::RunInSitu(1, FailStepOptions());
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("NEK_SENSEI_FAIL_STEP"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("NEK_SENSEI_FAIL_STEP");
+}
+
+TEST(FailStepEnvTest, ValidStepFailsThatStep) {
+  const std::string dir = TempSubdir("fail_step");
+  instrument::SetFlightRecorderDumpDir(dir);  // keep the crash dump here
+  setenv("NEK_SENSEI_FAIL_STEP", "1", 1);
+  try {
+    (void)nek_sensei::RunInSitu(1, FailStepOptions());
+    ADD_FAILURE() << "step 1 did not fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected failure at step 1"),
+              std::string::npos)
+        << e.what();
+  }
+  unsetenv("NEK_SENSEI_FAIL_STEP");
+  instrument::SetFlightRecorderDumpDir(".");
+  EXPECT_TRUE(std::filesystem::exists(dir + "/flightrec_rank0.json"));
 }
 
 TEST(WorkflowTelemetryTest, InTransitSstWriterPacksExactlyOnePerTrigger) {
@@ -789,8 +887,8 @@ TEST(AsyncPipelineTest, InTransitOutputsByteIdenticalToSync) {
 }
 
 TEST(AsyncPipelineTest, AsyncRunSurfacesPipelineMetrics) {
-  // The overlap ledger: submits count due steps, worker time lands in
-  // bridge.update_seconds, and Shutdown publishes the overlap/offload
+  // The overlap ledger: submits count due steps, worker time lands in the
+  // worker's bridge.update spans, and Shutdown publishes the overlap/offload
   // split the heartbeat and bench tables read.
   const std::string dir = TempSubdir("async_metrics");
   nek_sensei::InSituOptions options;
@@ -808,8 +906,8 @@ TEST(AsyncPipelineTest, AsyncRunSurfacesPipelineMetrics) {
   ASSERT_FALSE(report.Empty());
   // Steps 2 and 4 are due (frequency 2) on each of the 2 ranks.
   EXPECT_DOUBLE_EQ(report.CounterSum("pipeline.submits"), 4.0);
-  EXPECT_DOUBLE_EQ(report.CounterSum("bridge.updates"), 4.0);
-  EXPECT_GT(report.CounterSum("bridge.update_seconds"), 0.0);
+  EXPECT_EQ(report.histograms.at("bridge.update").count, 4u);
+  EXPECT_GT(report.histograms.at("bridge.update").sum, 0.0);
   EXPECT_EQ(report.counters.count("pipeline.queue_wait_seconds"), 1u);
   EXPECT_EQ(report.counters.count("pipeline.overlap_seconds"), 1u);
   ASSERT_NE(report.Gauge("insitu.offloaded_share"), nullptr);

@@ -24,7 +24,6 @@ namespace {
 using instrument::FlightEvent;
 using instrument::FlightEventKind;
 using instrument::FlightRecorder;
-using instrument::FlightRecorderScope;
 using instrument::RecordFlightEvent;
 
 std::string TempDir(const std::string& name) {
@@ -112,22 +111,26 @@ TEST(FlightRecorderTest, FreeFunctionWithoutRecorderIsNoop) {
 }
 
 TEST(FlightRecorderTest, ScopeInstallsAndRestores) {
-  FlightRecorder outer(0, 8);
-  FlightRecorder inner(1, 8);
+  // The recorder is reached through the thread's RankEnv: nested scopes
+  // route events to the innermost env's ring and restore on exit.
+  instrument::RankEnv outer;
+  outer.flightrec = std::make_shared<FlightRecorder>(0, 8);
+  instrument::RankEnv inner;
+  inner.flightrec = std::make_shared<FlightRecorder>(1, 8);
   {
-    FlightRecorderScope outer_scope(&outer);
-    EXPECT_EQ(instrument::CurrentFlightRecorder(), &outer);
+    instrument::RankScope outer_scope(&outer);
+    EXPECT_EQ(instrument::CurrentFlightRecorder(), outer.flightrec.get());
     {
-      FlightRecorderScope inner_scope(&inner);
+      instrument::RankScope inner_scope(&inner);
       RecordFlightEvent(FlightEventKind::kStall, "pipeline.slot_wait", 2,
                         0.5);
     }
-    EXPECT_EQ(instrument::CurrentFlightRecorder(), &outer);
+    EXPECT_EQ(instrument::CurrentFlightRecorder(), outer.flightrec.get());
   }
   EXPECT_EQ(instrument::CurrentFlightRecorder(), nullptr);
-  EXPECT_EQ(outer.TotalEvents(), 0u);
-  ASSERT_EQ(inner.Events().size(), 1u);
-  EXPECT_EQ(inner.Events()[0].step, 2);
+  EXPECT_EQ(outer.flightrec->TotalEvents(), 0u);
+  ASSERT_EQ(inner.flightrec->Events().size(), 1u);
+  EXPECT_EQ(inner.flightrec->Events()[0].step, 2);
 }
 
 // ------------------------------------------------------------ concurrency

@@ -2,22 +2,27 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 
+#include "instrument/flight_recorder.hpp"
 #include "instrument/memory_tracker.hpp"
+#include "instrument/metrics.hpp"
+#include "instrument/rank_env.hpp"
 #include "instrument/report.hpp"
 #include "instrument/timer.hpp"
+#include "instrument/tracer.hpp"
 
 namespace {
 
 using instrument::BusyClock;
 using instrument::MemoryTracker;
 using instrument::RunningStats;
+using instrument::RankEnv;
+using instrument::RankScope;
 using instrument::Table;
-using instrument::TimingRegistry;
 using instrument::TrackedBuffer;
-using instrument::TrackerScope;
 using instrument::WallTimer;
 
 TEST(WallTimerTest, MeasuresElapsedTime) {
@@ -83,17 +88,6 @@ TEST(BusyClockTest, ResetClearsAccumulation) {
   EXPECT_DOUBLE_EQ(clock.Seconds(), 0.0);
 }
 
-TEST(TimingRegistryTest, AccumulatesNamedBuckets) {
-  TimingRegistry registry;
-  registry.Accumulate("solve", 1.0);
-  registry.Accumulate("solve", 2.0);
-  registry.Accumulate("io", 0.5);
-  EXPECT_DOUBLE_EQ(registry.Total("solve"), 3.0);
-  EXPECT_DOUBLE_EQ(registry.Total("io"), 0.5);
-  EXPECT_DOUBLE_EQ(registry.Total("missing"), 0.0);
-  EXPECT_EQ(registry.Entries().at("solve").count, 2u);
-}
-
 TEST(RunningStatsTest, ComputesMomentsAndExtremes) {
   RunningStats stats;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.Add(x);
@@ -156,20 +150,6 @@ TEST(PercentileTest, NearestRankEdgeCases) {
   EXPECT_DOUBLE_EQ(instrument::Percentile(sorted, 1.5), 10.0);
 }
 
-TEST(ScopedTimerTest, StopExcludesLaterWork) {
-  TimingRegistry registry;
-  {
-    instrument::ScopedTimer timer(registry, "loop");
-    timer.Stop();
-    const double at_stop = registry.Total("loop");
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    timer.Stop();  // idempotent: destruction must not re-accumulate
-    EXPECT_DOUBLE_EQ(registry.Total("loop"), at_stop);
-  }
-  EXPECT_EQ(registry.Entries().at("loop").count, 1u);
-  EXPECT_LT(registry.Total("loop"), 0.010);
-}
-
 TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
   MemoryTracker tracker;
   tracker.Allocate("field", 1000);
@@ -202,9 +182,10 @@ TEST(MemoryTrackerTest, ResetClearsEverything) {
 }
 
 TEST(TrackedBufferTest, RegistersWithCurrentTracker) {
-  MemoryTracker tracker;
+  RankEnv env;
+  MemoryTracker& tracker = env.memory;
   {
-    TrackerScope scope(&tracker);
+    RankScope scope(&env);
     TrackedBuffer<double> buffer("field", 128);
     EXPECT_EQ(tracker.CurrentBytes(), 128 * sizeof(double));
   }
@@ -213,8 +194,9 @@ TEST(TrackedBufferTest, RegistersWithCurrentTracker) {
 }
 
 TEST(TrackedBufferTest, MoveTransfersOwnership) {
-  MemoryTracker tracker;
-  TrackerScope scope(&tracker);
+  RankEnv env;
+  RankScope scope(&env);
+  MemoryTracker& tracker = env.memory;
   TrackedBuffer<int> a("x", 64);
   TrackedBuffer<int> b = std::move(a);
   EXPECT_EQ(b.size(), 64u);
@@ -226,6 +208,80 @@ TEST(TrackedBufferTest, MoveTransfersOwnership) {
 TEST(TrackedBufferTest, UntrackedOutsideScope) {
   TrackedBuffer<double> buffer("field", 16);
   EXPECT_EQ(buffer.size(), 16u);  // works without a tracker installed
+}
+
+// ---- RankScope: the one per-thread instrumentation context ------------------
+
+TEST(RankScopeTest, NestedScopesRestorePrevious) {
+  RankEnv outer;
+  outer.tracer = std::make_shared<instrument::Tracer>(0);
+  outer.metrics = std::make_shared<instrument::MetricsRegistry>();
+  outer.flightrec = std::make_shared<instrument::FlightRecorder>(0, 8);
+  RankEnv inner;
+  inner.tracer = std::make_shared<instrument::Tracer>(1);
+  {
+    RankScope outer_scope(&outer);
+    EXPECT_EQ(instrument::CurrentEnv(), &outer);
+    EXPECT_EQ(instrument::CurrentTracker(), &outer.memory);
+    EXPECT_EQ(instrument::CurrentTracer(), outer.tracer.get());
+    EXPECT_EQ(instrument::CurrentMetrics(), outer.metrics.get());
+    EXPECT_EQ(instrument::CurrentFlightRecorder(), outer.flightrec.get());
+    {
+      RankScope inner_scope(&inner);
+      // Every plane now reads through the inner env, including the ones
+      // it lacks: nothing leaks through from the enclosing scope.
+      EXPECT_EQ(instrument::CurrentEnv(), &inner);
+      EXPECT_EQ(instrument::CurrentTracker(), &inner.memory);
+      EXPECT_EQ(instrument::CurrentTracer(), inner.tracer.get());
+      EXPECT_EQ(instrument::CurrentMetrics(), nullptr);
+      EXPECT_EQ(instrument::CurrentFlightRecorder(), nullptr);
+      instrument::Span span("solver.step");
+    }
+    EXPECT_EQ(instrument::CurrentEnv(), &outer);
+    EXPECT_EQ(instrument::CurrentTracer(), outer.tracer.get());
+    EXPECT_EQ(instrument::CurrentMetrics(), outer.metrics.get());
+  }
+  EXPECT_EQ(instrument::CurrentEnv(), nullptr);
+  EXPECT_EQ(inner.tracer->TotalSpans(), 1u);
+  EXPECT_EQ(outer.tracer->TotalSpans(), 0u);
+  EXPECT_TRUE(outer.metrics->Histograms().empty());
+}
+
+TEST(RankScopeTest, WithoutEnvEveryPlaneIsNullAndSpansRecordNothing) {
+  ASSERT_EQ(instrument::CurrentEnv(), nullptr);
+  EXPECT_EQ(instrument::CurrentTracker(), nullptr);
+  EXPECT_EQ(instrument::CurrentTracer(), nullptr);
+  EXPECT_EQ(instrument::CurrentMetrics(), nullptr);
+  EXPECT_EQ(instrument::CurrentFlightRecorder(), nullptr);
+  { instrument::Span span("solver.step"); }  // nothing to record into
+
+  // A null scope hides the enclosing env the same way.
+  RankEnv env;
+  env.tracer = std::make_shared<instrument::Tracer>(0);
+  env.metrics = std::make_shared<instrument::MetricsRegistry>();
+  RankScope scope(&env);
+  {
+    RankScope hidden(nullptr);
+    EXPECT_EQ(instrument::CurrentEnv(), nullptr);
+    EXPECT_EQ(instrument::CurrentTracker(), nullptr);
+    EXPECT_EQ(instrument::CurrentTracer(), nullptr);
+    EXPECT_EQ(instrument::CurrentMetrics(), nullptr);
+    instrument::Span span("solver.step");
+  }
+  EXPECT_EQ(env.tracer->TotalSpans(), 0u);
+  EXPECT_TRUE(env.metrics->Histograms().empty());
+}
+
+TEST(RankScopeTest, ScopeRunsTheBusyClockOnlyWhileInstalled) {
+  RankEnv env;
+  {
+    RankScope scope(&env);
+    SpinFor(0.005);
+  }
+  const double busy = env.busy.Seconds();
+  EXPECT_GT(busy, 0.0);
+  SpinFor(0.005);  // outside the scope: not this env's busy time
+  EXPECT_DOUBLE_EQ(env.busy.Seconds(), busy);
 }
 
 TEST(TableTest, PrintsAlignedColumns) {

@@ -209,6 +209,32 @@ TEST(ReduceSnapshotsTest, StatsAcrossRanks) {
   EXPECT_EQ(merged.buckets[1], 2u);
 }
 
+TEST(ReduceSnapshotsTest, HistogramsCarryTheStatOfTheirPerRankSums) {
+  // A span's histogram keeps the cross-rank view a seconds counter had:
+  // each rank's sum is its time inside the span (here 1, 2, 3, 4 s).
+  std::vector<instrument::MetricsSnapshot> per_rank(4);
+  for (int r = 0; r < 4; ++r) {
+    instrument::MetricsRegistry reg;
+    reg.Observe("solver.step", 0.25 * (1.0 + r));
+    reg.Observe("solver.step", 0.75 * (1.0 + r));
+    EXPECT_DOUBLE_EQ(reg.HistogramSum("solver.step"), 1.0 + r);
+    per_rank[r] = reg.Snapshot();
+  }
+
+  const instrument::MetricsReport report =
+      instrument::ReduceSnapshots(per_rank);
+  const instrument::MetricStat& s = report.histogram_sums.at("solver.step");
+  EXPECT_EQ(s.ranks, 4);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 4.0);
+  EXPECT_DOUBLE_EQ(s.mean, 2.5);
+  EXPECT_DOUBLE_EQ(s.sum, 10.0);
+  EXPECT_DOUBLE_EQ(s.p95, 4.0);  // nearest-rank over {1,2,3,4}
+  EXPECT_DOUBLE_EQ(s.imbalance, 4.0 / 2.5);
+  EXPECT_EQ(report.histograms.at("solver.step").count, 8u);
+  EXPECT_DOUBLE_EQ(report.histograms.at("solver.step").sum, 10.0);
+}
+
 TEST(ReduceSnapshotsTest, RanksCountOnlyFeedersPerMetric) {
   std::vector<instrument::MetricsSnapshot> per_rank(3);
   instrument::MetricsRegistry reg;
@@ -302,9 +328,9 @@ TEST(MetricsJsonTest, WriteIsAtomicAndContainsStats) {
   std::vector<instrument::MetricsSnapshot> per_rank(2);
   for (int r = 0; r < 2; ++r) {
     instrument::MetricsRegistry reg;
-    reg.Add("solver.step_seconds", 0.5 * (r + 1));
+    reg.Add("sst.stall_seconds", 0.5 * (r + 1));
     reg.Set("memory.host_hwm_bytes", 1000.0 * (r + 1));
-    reg.Observe("solver.step_seconds", 0.5 * (r + 1));
+    reg.Observe("solver.step", 0.5 * (r + 1));
     per_rank[r] = reg.Snapshot();
   }
   ASSERT_TRUE(instrument::WriteMetricsJson(
@@ -315,7 +341,11 @@ TEST(MetricsJsonTest, WriteIsAtomicAndContainsStats) {
 
   const std::string json = Slurp(path);
   EXPECT_NE(json.find("\"ranks\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"solver.step_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"sst.stall_seconds\""), std::string::npos);
+  // The histogram entry carries the stat of its per-rank sums (0.5, 1.0).
+  EXPECT_NE(json.find("\"per_rank_sum\": {\"ranks\": 2, \"min\": 0.5"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"imbalance\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"high_watermark\""), std::string::npos);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "instrument/memory_tracker.hpp"
+#include "instrument/rank_env.hpp"
 #include "instrument/timer.hpp"
 #include "occamini/device.hpp"
 
@@ -78,10 +79,11 @@ TEST(DeviceTest, TracksAllocatedBytes) {
 }
 
 TEST(DeviceTest, DeviceMemoryRegistersWithRankTracker) {
-  instrument::MemoryTracker tracker;
+  instrument::RankEnv env;
+  instrument::MemoryTracker& tracker = env.memory;
   Device device(Backend::kSimGpu);
   {
-    instrument::TrackerScope scope(&tracker);
+    instrument::RankScope scope(&env);
     Memory mem = device.Malloc(4096);
     EXPECT_EQ(tracker.CurrentBytes("device"), 4096u);
   }
@@ -154,8 +156,9 @@ TEST(ArrayTest, StageToHostLandsInTrackedBuffer) {
   }
   array.CopyFromHost(host);
 
-  instrument::MemoryTracker tracker;
-  instrument::TrackerScope scope(&tracker);
+  instrument::RankEnv env;
+  instrument::RankScope scope(&env);
+  instrument::MemoryTracker& tracker = env.memory;
   core::ResetLocalBufferStats();
   const auto d2h_before = device.Transfers().d2h_count;
   core::Buffer staged = array.StageToHost("staging");

@@ -105,8 +105,9 @@ TEST(FramebufferTest, RejectsNonPositiveSizeBeforeAllocating) {
 }
 
 TEST(FramebufferTest, TracksRenderMemory) {
-  instrument::MemoryTracker tracker;
-  instrument::TrackerScope scope(&tracker);
+  instrument::RankEnv env;
+  instrument::RankScope scope(&env);
+  instrument::MemoryTracker& tracker = env.memory;
   {
     Framebuffer fb(100, 50);
     EXPECT_EQ(tracker.CurrentBytes("render"),

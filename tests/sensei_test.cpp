@@ -441,6 +441,53 @@ TEST(PipelineConfigTest, EnvironmentSelectsAsyncWhenElementAbsent) {
   unsetenv("NEK_SENSEI_ASYNC");
 }
 
+// ---- Telemetry configuration ------------------------------------------------
+
+TEST(TelemetryConfigXmlTest, RejectsNonFiniteNegativeOrOversizedBounds) {
+  // wait_min_seconds becomes an int64 nanosecond threshold and capacity an
+  // up-front per-rank span allocation: both must be bounded at parse time.
+  auto parse = [](const std::string& attrs) {
+    return sensei::ParseTelemetryConfig(
+        xmlcfg::Parse("<sensei><telemetry " + attrs + "/></sensei>").root);
+  };
+  for (const std::string wait : {"nan", "inf", "-1", "1e300", "61"}) {
+    SCOPED_TRACE(wait);
+    try {
+      (void)parse("wait_min_seconds=\"" + wait + "\"");
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("wait_min_seconds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::string capacity : {"0", "1073741824"}) {
+    SCOPED_TRACE(capacity);
+    try {
+      (void)parse("capacity=\"" + capacity + "\"");
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TelemetryConfigXmlTest, AcceptsDefaultsAndRealisticBounds) {
+  auto parse = [](const std::string& attrs) {
+    return sensei::ParseTelemetryConfig(
+        xmlcfg::Parse("<sensei><telemetry " + attrs + "/></sensei>").root);
+  };
+  const instrument::TelemetryConfig defaults = parse("");
+  EXPECT_EQ(defaults.span_capacity, instrument::TelemetryConfig{}.span_capacity);
+  EXPECT_DOUBLE_EQ(defaults.wait_min_seconds,
+                   instrument::TelemetryConfig{}.wait_min_seconds);
+  const instrument::TelemetryConfig tuned =
+      parse("wait_min_seconds=\"1e-4\" capacity=\"4194304\"");
+  EXPECT_EQ(tuned.TracerOptions().wait_min_ns, 100'000);
+  EXPECT_EQ(tuned.span_capacity, std::size_t{1} << 22);
+}
+
 // ---- Transport codec selection + split grid staging -------------------------
 
 svtk::UnstructuredGrid MakeStagedCube() {

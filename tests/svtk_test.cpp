@@ -6,6 +6,7 @@
 
 #include "core/buffer.hpp"
 #include "instrument/memory_tracker.hpp"
+#include "instrument/rank_env.hpp"
 #include "svtk/data_array.hpp"
 #include "svtk/serialize.hpp"
 #include "svtk/unstructured_grid.hpp"
@@ -126,8 +127,9 @@ TEST(UnstructuredGridTest, AdoptPointArrayCountsAdoption) {
 }
 
 TEST(DataArrayTest, TracksMemory) {
-  instrument::MemoryTracker tracker;
-  instrument::TrackerScope scope(&tracker);
+  instrument::RankEnv env;
+  instrument::RankScope scope(&env);
+  instrument::MemoryTracker& tracker = env.memory;
   {
     DataArray array("t", 100, 1);
     EXPECT_EQ(tracker.CurrentBytes("vtk"), 100 * sizeof(double));

@@ -2,23 +2,27 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "instrument/metrics.hpp"
+#include "instrument/rank_env.hpp"
 #include "instrument/telemetry.hpp"
 #include "instrument/tracer.hpp"
 
 namespace {
 
 using instrument::CurrentTracer;
+using instrument::RankEnv;
+using instrument::RankScope;
 using instrument::Span;
 using instrument::Summarize;
 using instrument::TelemetryConfig;
 using instrument::TelemetrySummary;
 using instrument::Tracer;
-using instrument::TracerScope;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -109,26 +113,76 @@ TEST(TracerTest, NoTracerInstalledMeansNothingRecorded) {
   // without telemetry carry no recording overhead or storage.
   ASSERT_EQ(CurrentTracer(), nullptr);
   { Span span("solver.step"); }
-  Tracer probe(0);
+  RankEnv env;
+  env.tracer = std::make_shared<Tracer>(0);
   {
-    TracerScope scope(&probe);
+    RankScope scope(&env);
     { Span span("solver.step"); }
   }
   // Only the span opened while the scope was installed was seen.
-  EXPECT_EQ(probe.TotalSpans(), 1u);
+  EXPECT_EQ(env.tracer->TotalSpans(), 1u);
   { Span span("solver.step"); }  // scope gone again
-  EXPECT_EQ(probe.TotalSpans(), 1u);
+  EXPECT_EQ(env.tracer->TotalSpans(), 1u);
 }
 
-TEST(TracerTest, TracerScopeRestoresPrevious) {
-  Tracer outer(0), inner(1);
-  TracerScope outer_scope(&outer);
-  EXPECT_EQ(CurrentTracer(), &outer);
-  {
-    TracerScope inner_scope(&inner);
-    EXPECT_EQ(CurrentTracer(), &inner);
+// ---- Span -> histogram: one timer per region --------------------------------
+
+TEST(SpanHistogramTest, CloseObservesDurationIntoHistogramNamedAfterSpan) {
+  // Metrics plane on, tracing off: the span still times its region, into
+  // a histogram of seconds named after it.
+  RankEnv env;
+  env.metrics = std::make_shared<instrument::MetricsRegistry>();
+  RankScope scope(&env);
+  for (int i = 0; i < 3; ++i) {
+    Span span("solver.pressure");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(CurrentTracer(), &outer);
+  const auto& histograms = env.metrics->Histograms();
+  ASSERT_EQ(histograms.size(), 1u);
+  const instrument::HistogramData& h = histograms.at("solver.pressure");
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_GE(h.min, 1e-3);
+  EXPECT_DOUBLE_EQ(env.metrics->HistogramSum("solver.pressure"), h.sum);
+  EXPECT_EQ(h.edges, instrument::MetricsRegistry::DefaultLatencyEdges());
+}
+
+TEST(SpanHistogramTest, HistogramAndTraceShareOneWindow) {
+  // Both planes on: the histogram and the ring record the same clock pair,
+  // so their totals agree exactly — including for threshold spans, whose
+  // short instances the ring only tallies but the histogram still counts.
+  RankEnv env;
+  Tracer::Options options;
+  options.wait_min_ns = 50'000'000;  // every wait below is tally-only
+  env.tracer = std::make_shared<Tracer>(0, options);
+  env.metrics = std::make_shared<instrument::MetricsRegistry>();
+  RankScope scope(&env);
+  for (int i = 0; i < 4; ++i) {
+    Span outer("bridge.update");
+    Span wait("comm.recv.wait", Span::Mode::kThreshold);
+  }
+  const Tracer& tracer = *env.tracer;
+  EXPECT_EQ(tracer.TotalSpans(), 4u);
+  EXPECT_EQ(tracer.SkippedWaits(), 4u);
+  double traced = 0.0;
+  for (const Tracer::SpanRecord& rec : tracer.Spans()) {
+    traced += static_cast<double>(rec.duration_ns) * 1e-9;
+  }
+  const auto& histograms = env.metrics->Histograms();
+  EXPECT_EQ(histograms.at("bridge.update").count, 4u);
+  EXPECT_NEAR(histograms.at("bridge.update").sum, traced, 1e-12);
+  EXPECT_EQ(histograms.at("comm.recv.wait").count, 4u);
+  EXPECT_NEAR(histograms.at("comm.recv.wait").sum,
+              tracer.SkippedWaitSeconds(), 1e-12);
+}
+
+TEST(SpanHistogramTest, ExplicitTracerSpanLeavesTheRegistryAlone) {
+  RankEnv env;
+  env.metrics = std::make_shared<instrument::MetricsRegistry>();
+  RankScope scope(&env);
+  Tracer tracer(0);
+  { Span span(&tracer, "solver.step"); }
+  EXPECT_EQ(tracer.TotalSpans(), 1u);
+  EXPECT_TRUE(env.metrics->Histograms().empty());
 }
 
 TEST(TracerTest, ThresholdModeTalliesShortWaits) {

@@ -514,6 +514,14 @@ std::string Analysis::GenerateRegistry() {
       << "\n"
       << "    ./build/tools/nsm_analyze/nsm_analyze --write-registry\n"
       << "\n"
+      << "Every span is also a histogram: with the metrics plane on, a "
+         "span's close\n"
+      << "observes its duration in seconds into the histogram of the same "
+         "name\n"
+      << "(`metrics.json` `histograms`, `/metrics` `nsm_<name>`), so a "
+         "timed region\n"
+      << "has one name in the trace and in the metrics.\n"
+      << "\n"
       << "| Name | Kind | Recorded in |\n"
       << "|------|------|-------------|\n";
   for (const auto& [name, info] : names) {
