@@ -64,7 +64,14 @@ int main(int argc, char** argv) {
         const std::string next = argv[i + 1];
         if (!next.empty() &&
             next.find_first_not_of("0123456789") == std::string::npos) {
-          monitor_port = std::atoi(argv[++i]);
+          // strtol saturates instead of wrapping, so a huge digit string
+          // is rejected too.
+          const long port = std::strtol(argv[++i], nullptr, 10);
+          if (port > 65535) {
+            std::cerr << "error: --monitor port must be in [0, 65535]\n";
+            return 2;
+          }
+          monitor_port = static_cast<int>(port);
         }
       }
     } else if (arg == "--status-out") {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -95,15 +96,37 @@ struct SharedMetrics {
   WorkflowMetrics metrics NSM_GUARDED_BY(mutex);
 };
 
-// Gather per-rank reports and analysis byte counts onto world rank 0.
-void CollectReports(mpimini::Comm& world, const RankReport& mine,
-                    std::size_t my_bytes, std::size_t my_images,
+// What a rank body hands back to the run skeleton: its RankReport inputs,
+// its share of the run's byte and image totals, and (stepping rank 0) the
+// straggler verdicts metrics.json serializes.
+struct RankOutcome {
+  bool is_sim = true;
+  double step_busy_seconds = 0.0;
+  std::size_t bytes = 0;
+  std::size_t images = 0;
+  /// The async worker's high-water mark (0 in sync mode): the two threads
+  /// coexist, so the rank's reported footprint is the sum of both peaks.
+  std::size_t worker_peak_bytes = 0;
+  std::vector<instrument::AnomalyRecord> anomalies;
+};
+
+// Gather per-rank reports and analysis byte/image counts onto world rank 0.
+void CollectReports(mpimini::Comm& world, const RankOutcome& outcome,
                     SharedMetrics& shared) {
+  RankReport mine;
+  mine.world_rank = world.Rank();
+  mine.is_sim = outcome.is_sim;
+  mine.step_busy_seconds = outcome.step_busy_seconds;
+  if (instrument::RankEnv* env = instrument::CurrentEnv()) {
+    mine.total_busy_seconds = env->busy.Seconds();
+    mine.host_peak_bytes =
+        env->memory.HostPeakBytes() + outcome.worker_peak_bytes;
+    mine.device_peak_bytes =
+        env->memory.PeakBytes(instrument::kDeviceCategory);
+  }
   std::vector<RankReport> reports =
       world.Gather<RankReport>(std::span<const RankReport>(&mine, 1), 0);
-  std::size_t bytes = my_bytes;
-  std::size_t images = my_images;
-  std::array<std::size_t, 2> io{bytes, images};
+  std::array<std::size_t, 2> io{outcome.bytes, outcome.images};
   world.Reduce(std::span<std::size_t>(io), mpimini::Op::kSum, 0);
   if (world.Rank() == 0) {
     core::MutexLock lock(shared.mutex);
@@ -111,26 +134,6 @@ void CollectReports(mpimini::Comm& world, const RankReport& mine,
     shared.metrics.bytes_written = io[0];
     shared.metrics.images_written = io[1];
   }
-}
-
-// `worker_host_peak_bytes` is the async worker's high-water mark (0 in sync
-// mode): the two threads coexist, so the rank's reported footprint is the
-// conservative sum of both peaks.
-RankReport MakeReport(mpimini::Comm& world, bool is_sim,
-                      double step_busy_seconds,
-                      std::size_t worker_host_peak_bytes = 0) {
-  RankReport report;
-  report.world_rank = world.Rank();
-  report.is_sim = is_sim;
-  report.step_busy_seconds = step_busy_seconds;
-  if (instrument::RankEnv* env = instrument::CurrentEnv()) {
-    report.total_busy_seconds = env->busy.Seconds();
-    report.host_peak_bytes =
-        env->memory.HostPeakBytes() + worker_host_peak_bytes;
-    report.device_peak_bytes =
-        env->memory.PeakBytes(instrument::kDeviceCategory);
-  }
-  return report;
 }
 
 bool XmlHasAdios(const std::string& xml) {
@@ -163,18 +166,32 @@ mpimini::RunSettings MakeRunSettings(
   return settings;
 }
 
+// One rank's contribution to a heartbeat tick: its straggler sample plus
+// what rank 0 sums or maxes into the tick's status.  Trivially copyable,
+// so the whole tick travels in one Gather.
+struct HeartbeatRow {
+  instrument::RankHealthSample health;
+  std::size_t host_peak_bytes = 0;
+  double insitu_seconds = 0.0;   ///< cumulative bridge.update span seconds
+  double offload_seconds = 0.0;  ///< cumulative async-worker update seconds
+  std::size_t raw_bytes = 0;     ///< cumulative transport codec-plane totals
+  std::size_t wire_bytes = 0;
+  int queue_depth = -1;          ///< SST staging queue (-1: no transport)
+};
+
 // Rank-0 progress line plus the run-health collective.  When enabled, every
-// Tick at the interval runs the same fixed collective sequence (two small
-// Reduces, one health-sample Gather, and — monitor runs only — one metrics
-// reduction), so every rank of the stepping communicator must Tick at the
-// same step; a zero interval makes Tick a no-op and the run collective-free,
-// as before.  The interval is config-derived (identical on every rank by
-// construction), never data-dependent.
+// Tick at the interval runs the same fixed collective sequence (one
+// HeartbeatRow Gather and — monitor runs only — one metrics reduction), so
+// every rank of the stepping communicator must Tick at the same step; a
+// zero interval makes Tick a no-op and the run collective-free, as before.
+// The interval is config-derived (identical on every rank by construction),
+// never data-dependent.
 //
-// Rank 0 additionally feeds the gathered health samples into the straggler
-// detector — new verdicts go to the flight recorder, the printed line's
-// `note` column, and (via Anomalies()) metrics.json — and publishes a
-// MonitorStatus snapshot to the /metrics endpoint when one is serving.
+// Rank 0 folds the rows into one MonitorStatus per tick, feeds the health
+// samples into the straggler detector — new verdicts go to the flight
+// recorder, the status `note` (the printed line's last column), and (via
+// Anomalies()) metrics.json — then prints the status when due and
+// publishes it to the /metrics endpoint when one is serving.
 class Heartbeat {
  public:
   /// `monitor` is rank 0's MonitorServer or nullptr; non-rank-0 callers
@@ -186,7 +203,7 @@ class Heartbeat {
   /// nullptr when e2e arrives in this rank's own registry (in situ).
   Heartbeat(mpimini::Comm& comm, const instrument::TelemetryConfig& config,
             int total_steps, instrument::MonitorServer* monitor,
-            mpimini::Comm* e2e_source = nullptr)
+            mpimini::Comm* e2e_source)
       : comm_(comm),
         e2e_source_(e2e_source),
         print_interval_(config.heartbeat_steps),
@@ -209,43 +226,37 @@ class Heartbeat {
     }
   }
 
-  /// `queue_depth`/`queue_limit` describe the SST staging queue (pass
-  /// -1/-1 when the workflow has no transport, e.g. in situ).
-  /// `offload_seconds` is this rank's cumulative async-worker update
-  /// seconds, or negative in sync mode (must agree in sign across ranks —
-  /// the reductions are collective).  `raw_bytes`/`wire_bytes` are this
-  /// rank's cumulative transport codec-plane totals (0 when there is no
-  /// transport; equal when every variable ships identity).
-  void Tick(int step_index, int queue_depth, int queue_limit,
-            double offload_seconds = -1.0, std::size_t raw_bytes = 0,
-            std::size_t wire_bytes = 0) {
+  /// `adios` is this rank's SST sender, or nullptr when the workflow has no
+  /// transport (in situ): it supplies the staging-queue depth and limit and
+  /// the cumulative raw/wire byte totals.  `offload_seconds` is this rank's
+  /// cumulative async-worker update seconds, or negative in sync mode (it
+  /// agrees in sign across ranks).
+  void Tick(int step_index, const sensei::AdiosAnalysisAdaptor* adios,
+            double offload_seconds) {
     if (interval_ <= 0) return;
     const int done = step_index + 1;
     if (done % interval_ != 0 && done != total_) return;
 
-    instrument::RankEnv* env = instrument::CurrentEnv();
-    const double mem =
-        env ? static_cast<double>(env->memory.HostPeakBytes()) : 0.0;
-    double insitu_seconds = 0.0;
+    // The health sample always rides along, so the straggler detector works
+    // even with the metrics plane off (the busy clock is unconditional;
+    // only the span attribution needs the plane).
+    HeartbeatRow row;
+    row.health = SampleHealth();
+    if (instrument::RankEnv* env = instrument::CurrentEnv()) {
+      row.host_peak_bytes = env->memory.HostPeakBytes();
+    }
     if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      insitu_seconds = m->HistogramSum("bridge.update");
+      row.insitu_seconds = m->HistogramSum("bridge.update");
     }
     const bool async = offload_seconds >= 0.0;
-    std::array<double, 5> sums{mem, insitu_seconds,
-                               async ? offload_seconds : 0.0,
-                               static_cast<double>(raw_bytes),
-                               static_cast<double>(wire_bytes)};
-    std::array<double, 2> maxs{mem, static_cast<double>(queue_depth)};
-    comm_.Reduce(std::span<double>(sums), mpimini::Op::kSum, 0);
-    comm_.Reduce(std::span<double>(maxs), mpimini::Op::kMax, 0);
-
-    // Health-sample gather: always part of the tick collective, so the
-    // straggler detector works even with the metrics plane off (the busy
-    // clock is unconditional; only the span attribution needs the plane).
-    const instrument::RankHealthSample health = SampleHealth();
-    const std::vector<instrument::RankHealthSample> samples =
-        comm_.Gather<instrument::RankHealthSample>(
-            std::span<const instrument::RankHealthSample>(&health, 1), 0);
+    row.offload_seconds = async ? offload_seconds : 0.0;
+    if (adios != nullptr) {
+      row.raw_bytes = adios->RawBytes();
+      row.wire_bytes = adios->WireBytes();
+      row.queue_depth = adios->QueueDepth();
+    }
+    const std::vector<HeartbeatRow> rows = comm_.Gather<HeartbeatRow>(
+        std::span<const HeartbeatRow>(&row, 1), 0);
 
     // Monitor runs reduce the full registry each tick so /metrics serves
     // live cross-rank sums, not stale startup values.  MonitorEnabled()
@@ -260,6 +271,35 @@ class Heartbeat {
       report = mpimini::ReduceMetrics(comm_, snap, 0);
     }
     if (comm_.Rank() != 0) return;
+
+    // Fold the rows in rank order: the same sums and maxima a root-0
+    // Reduce would produce, bit for bit.
+    instrument::MonitorStatus status;
+    std::vector<instrument::RankHealthSample> samples;
+    std::size_t mem_sum = 0;
+    double insitu_sum = 0.0;
+    double offload_sum = 0.0;
+    double step_sum = 0.0;
+    for (const HeartbeatRow& r : rows) {
+      const double s = r.health.step_seconds;
+      status.step_seconds_min =
+          samples.empty() ? s : std::min(status.step_seconds_min, s);
+      status.step_seconds_max = std::max(status.step_seconds_max, s);
+      step_sum += s;
+      samples.push_back(r.health);
+      mem_sum += r.host_peak_bytes;
+      status.mem_max_bytes = std::max(status.mem_max_bytes, r.host_peak_bytes);
+      insitu_sum += r.insitu_seconds;
+      offload_sum += r.offload_seconds;
+      status.raw_bytes += r.raw_bytes;
+      status.wire_bytes += r.wire_bytes;
+      status.queue_depth = std::max(status.queue_depth, r.queue_depth);
+    }
+    const double ranks = static_cast<double>(rows.size());
+    status.step_seconds_mean = step_sum / ranks;
+    status.mem_mean_bytes =
+        static_cast<std::size_t>(static_cast<double>(mem_sum) / ranks);
+    status.queue_limit = adios != nullptr ? adios->QueueLimit() : -1;
 
     // End-to-end latency column: drain whatever the endpoint shipped since
     // the last tick (latest sample wins), or — with no cross-group feed —
@@ -277,8 +317,8 @@ class Heartbeat {
         last_e2e_seconds_ = it->second.Mean();
       }
     }
+    status.e2e_seconds = last_e2e_seconds_;
 
-    std::string note;
     for (const instrument::AnomalyRecord& a : straggler_.Update(samples,
                                                                 done)) {
       char verdict[64];
@@ -286,65 +326,31 @@ class Heartbeat {
                     a.rank, a.dominant_span.c_str());
       instrument::RecordFlightEvent(instrument::FlightEventKind::kAnomaly,
                                     verdict, done, a.z);
-      if (!note.empty()) note += ", ";
-      note += verdict;
+      if (!status.note.empty()) status.note += ", ";
+      status.note += verdict;
     }
 
     const double elapsed =
         static_cast<double>(instrument::Tracer::NowNs() - start_ns_) * 1e-9;
     const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-    const double ranks = static_cast<double>(comm_.Size());
-
-    HeartbeatLine line;
-    line.done = done;
-    line.total = total_;
-    line.rate_steps_per_second = rate;
-    line.eta_seconds =
+    status.step = done;
+    status.total_steps = total_;
+    status.rate_steps_per_second = rate;
+    status.eta_seconds =
         rate > 0.0 ? static_cast<double>(total_ - done) / rate : -1.0;
-    line.mem_mean_bytes = static_cast<std::size_t>(sums[0] / ranks);
-    line.mem_max_bytes = static_cast<std::size_t>(maxs[0]);
     if (elapsed > 0.0 && instrument::CurrentMetrics() != nullptr) {
-      line.insitu_percent = 100.0 * sums[1] / ranks / elapsed;
+      status.insitu_percent = 100.0 * insitu_sum / ranks / elapsed;
     }
     if (elapsed > 0.0 && async) {
-      line.offload_percent = 100.0 * sums[2] / ranks / elapsed;
+      status.offload_percent = 100.0 * offload_sum / ranks / elapsed;
     }
-    line.queue_depth = static_cast<int>(maxs[1]);
-    line.queue_limit = queue_limit;
-    line.raw_bytes = static_cast<std::size_t>(sums[3]);
-    line.wire_bytes = static_cast<std::size_t>(sums[4]);
-    line.e2e_seconds = last_e2e_seconds_;
-    line.note = note;
     if (print_interval_ > 0 &&
         (done % print_interval_ == 0 || done == total_)) {
-      std::fprintf(stderr, "%s\n", FormatHeartbeatLine(line).c_str());
+      std::fprintf(stderr, "%s\n", FormatHeartbeatLine(status).c_str());
       std::fflush(stderr);
     }
 
     if (monitor_ != nullptr && monitor_->Serving()) {
-      instrument::MonitorStatus status;
-      status.step = done;
-      status.total_steps = total_;
-      status.rate_steps_per_second = rate;
-      status.eta_seconds = line.eta_seconds;
-      double lo = 0.0;
-      double hi = 0.0;
-      double sum = 0.0;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        const double s = samples[i].step_seconds;
-        lo = i == 0 ? s : std::min(lo, s);
-        hi = std::max(hi, s);
-        sum += s;
-      }
-      status.step_seconds_min = lo;
-      status.step_seconds_max = hi;
-      status.step_seconds_mean =
-          samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
-      status.queue_depth = line.queue_depth;
-      status.queue_limit = queue_limit;
-      status.insitu_percent = line.insitu_percent;
-      status.offload_percent = line.offload_percent;
-      status.e2e_seconds = line.e2e_seconds;
       status.anomalies = straggler_.Anomalies();
       report.anomalies = status.anomalies;
       status.metrics = std::move(report);
@@ -494,17 +500,6 @@ void CollectRunHealth(mpimini::Comm& world,
   }
 }
 
-// Print the per-rank tracer digest on ranks that do not run a Bridge
-// (in-transit endpoints); Bridge::Finalize does this for sim ranks.  The
-// flush matters: these threads exit right after, and unflushed stdio from
-// a finishing rank thread is lost on some libc builds.
-void PrintEndpointSummary() {
-  if (const instrument::Tracer* tracer = instrument::CurrentTracer()) {
-    std::fprintf(stderr, "%s\n", tracer->SummaryLine().c_str());
-    std::fflush(stderr);
-  }
-}
-
 // Sample the cumulative pipeline counters into the rank's tracer.  Called
 // at step boundaries so consecutive samples attribute each step's deltas
 // (DESIGN.md: counter-delta attribution).  No-op when tracing is off.
@@ -567,6 +562,15 @@ void SampleStepCounters(const occamini::Device* device,
     tracer->SampleCounter("sst.bytes_wire",
                           static_cast<double>(sst->wire_bytes));
   }
+}
+
+// The configured analysis of kind `kind` as its concrete adaptor type, or
+// nullptr (no such analysis, or no SENSEI at all).
+template <typename Adaptor>
+std::shared_ptr<Adaptor> FindAdaptor(
+    const sensei::ConfigurableAnalysis* analysis, const char* kind) {
+  if (analysis == nullptr) return nullptr;
+  return std::dynamic_pointer_cast<Adaptor>(analysis->Find(kind));
 }
 
 // The endpoint comm group's trace file: "trace.json" -> "trace_endpoint.json"
@@ -632,61 +636,304 @@ void ExportRunHealth(const instrument::TelemetryConfig& config,
   }
 }
 
+// What the run skeleton hands each rank body.
+struct RankRun {
+  mpimini::Comm& world;
+  const instrument::TelemetryConfig& telemetry;
+  std::uint64_t run_id;                ///< 0 when the causal plane is off
+  instrument::MonitorServer* monitor;  ///< world rank 0's server, or nullptr
+};
+
+// The run skeleton both workflows share.  It spawns `world_ranks` rank
+// threads; on each it brackets `body` (which builds the rank's solver and
+// bridge, or its endpoint, and runs it) with the clock calibration, then
+// collects the per-rank reports and the run-health reduction onto world
+// rank 0, and exports both once the threads have joined.
+WorkflowMetrics RunWorkflow(
+    int world_ranks, int steps, const instrument::TelemetryConfig& telemetry,
+    const std::function<RankOutcome(const RankRun&)>& body) {
+  SharedMetrics shared;
+  {
+    core::MutexLock lock(shared.mutex);
+    shared.metrics.steps = steps;
+  }
+  // Causal plane (clock sync, step provenance, e2e latency) rides with the
+  // observability opt-ins: without them, runs keep the pre-provenance wire
+  // bytes and collective sequence exactly.
+  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
+  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
+
+  mpimini::RunResult run = mpimini::Runtime::Run(
+      world_ranks, MakeRunSettings(telemetry), [&](mpimini::Comm& world) {
+    // Live run-health endpoint: world rank 0 only, opt-in, loopback.
+    // World rank 0 is also rank 0 of the stepping communicator, so one rank
+    // owns both the heartbeat and the monitor.  Created before the step
+    // loop so /healthz answers from the first step, and destroyed (->
+    // Stop -> persisted status) at rank-body scope end, after the closing
+    // metrics reduction has refreshed it.
+    std::unique_ptr<instrument::MonitorServer> monitor;
+    if (world.Rank() == 0 && telemetry.MonitorEnabled()) {
+      monitor = std::make_unique<instrument::MonitorServer>(
+          instrument::MonitorServer::Options{
+              .port = telemetry.monitor_port,
+              .persist_path = telemetry.status_path,
+              .port_file = telemetry.monitor_port_file});
+    }
+    // Clock calibration brackets the run: the start sync feeds provenance
+    // timestamps and the aligned trace export, the closing re-sync
+    // measures drift.  World-wide against world rank 0, so both in transit
+    // groups share one timeline.  Collective — gated identically on every
+    // rank.
+    std::optional<mpimini::ClockSync> clock;
+    if (causal) clock = CalibrateRankClock(world);
+    const RankOutcome outcome =
+        body(RankRun{world, telemetry, run_id, monitor.get()});
+    if (clock) RecalibrateRankClock(world, *clock);
+    CollectReports(world, outcome, shared);
+    CollectRunHealth(world, telemetry, outcome.anomalies, monitor.get(),
+                     shared);
+  });
+
+  // Rank threads are joined, but the analysis (rightly) still wants the
+  // lock for these accesses.
+  core::MutexLock lock(shared.mutex);
+  shared.metrics.wall_seconds = run.wall_seconds;
+  ExportTelemetry(telemetry, run, shared.metrics);
+  ExportRunHealth(telemetry, shared.metrics);
+  return shared.metrics;
+}
+
+// Per-step hooks only the in situ workflow sets (see InSituOptions and
+// FailStepFromEnv); the defaults are off.
+struct StepHooks {
+  int fail_step = -1;
+  int straggler_rank = -1;
+  double straggler_seconds = 0.0;
+};
+
+// The simulation rank's step loop (Listing 3), in situ and in transit
+// alike: step the solver, hand the step to SENSEI under its causal origin,
+// sample the counters, tick the heartbeat.  The heartbeat runs on the
+// solver's communicator (in transit the sim group: endpoint ranks sit in
+// their receive loop and cannot join step-boundary collectives).  A null
+// `bridge` is the paper's Original configuration.  `e2e_source` is as for
+// Heartbeat.
+RankOutcome SimStepLoop(const RankRun& run, int steps,
+                        nekrs::FlowSolver& solver, Bridge* bridge,
+                        mpimini::Comm* e2e_source,
+                        const StepHooks& hooks = {}) {
+  const sensei::ConfigurableAnalysis* analysis =
+      bridge != nullptr ? &bridge->Analysis() : nullptr;
+  const auto catalyst =
+      FindAdaptor<sensei::CatalystAnalysisAdaptor>(analysis, "catalyst");
+  const auto adios =
+      FindAdaptor<sensei::AdiosAnalysisAdaptor>(analysis, "adios");
+  // Async mode: the analyses (and the SST sender) run on the worker thread,
+  // so their counters must not be read at step boundaries — sample with the
+  // device feed only, and take one full sample after Finalize (SetTotal and
+  // counter sampling are cumulative, so the final totals come out
+  // mode-independent).  The queue depth and raw/wire totals the heartbeat
+  // reads stay safe (atomic mirrors / immutable).
+  const bool async = bridge != nullptr && bridge->Async();
+  const auto sample_counters = [&](bool full) {
+    SampleStepCounters(&solver.Device(), full ? analysis : nullptr,
+                       full ? catalyst.get() : nullptr,
+                       full && adios ? &adios->TransportStats() : nullptr);
+  };
+
+  instrument::RankEnv* env = instrument::CurrentEnv();
+  const double busy0 = env ? env->busy.Seconds() : 0.0;
+  Heartbeat heartbeat(solver.Comm(), run.telemetry, steps, run.monitor,
+                      e2e_source);
+  sample_counters(!async);
+  for (int s = 0; s < steps; ++s) {
+    // Step boundary first: a crash dump's tail names the step that was
+    // *in flight*, not the last one that completed.
+    instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
+                                  "solver.step", s);
+    if (s == hooks.fail_step) {
+      throw std::runtime_error("injected failure at step " +
+                               std::to_string(s) + " (solver.step)");
+    }
+    solver.Step();
+    if (run.world.Rank() == hooks.straggler_rank &&
+        hooks.straggler_seconds > 0.0) {
+      // Controlled straggler: busy-spin (not sleep — the busy clock must
+      // see it) under a solver.step span, so the time is booked as solver
+      // work and the detector's span attribution has a known right answer.
+      instrument::Span spin_span("solver.step");
+      const std::int64_t spin0 = instrument::Tracer::NowNs();
+      while (static_cast<double>(instrument::Tracer::NowNs() - spin0) *
+                 1e-9 <
+             hooks.straggler_seconds) {
+      }
+    }
+    {
+      // Stamp the just-completed step's causal origin; the SENSEI update
+      // (sync: inline; async: captured at Submit) runs under it so every
+      // downstream write can attribute back to this step.  In transit it
+      // crosses the SST wire in the step context, links sst.send to
+      // sst.recv in the trace, and anchors the endpoint's e2e latency.
+      instrument::StepProvenance provenance;
+      if (run.run_id != 0) {
+        provenance =
+            instrument::MakeStepProvenance(run.run_id, run.world.Rank(), s);
+      }
+      instrument::ProvenanceScope provenance_scope(
+          provenance.Valid() ? &provenance : nullptr);
+      if (bridge != nullptr) bridge->Update();
+    }
+    sample_counters(!async);
+    heartbeat.Tick(s, adios.get(),
+                   bridge != nullptr ? bridge->OffloadedSeconds() : -1.0);
+  }
+  RankOutcome outcome;
+  // Stop before teardown: Finalize (stream flushes, file closes) must not
+  // count toward the per-step figures.
+  outcome.step_busy_seconds = (env ? env->busy.Seconds() : 0.0) - busy0;
+  if (bridge != nullptr) bridge->Finalize();
+  // Post-Finalize the worker (if any) is joined and its attribution is
+  // folded into this rank: the full-feed sample closes the totals.
+  sample_counters(true);
+  if (bridge != nullptr) {
+    outcome.bytes = bridge->Analysis().TotalBytesWritten();
+    outcome.worker_peak_bytes = bridge->WorkerHostPeakBytes();
+  }
+  if (catalyst) outcome.images = catalyst->ImagesWritten();
+  outcome.anomalies = heartbeat.Anomalies();
+  return outcome;
+}
+
+// The in transit endpoint rank: receive the steps its writers stream and
+// run the endpoint analyses on each.
+RankOutcome EndpointLoop(const RankRun& run, mpimini::Comm& group,
+                         int sim_ranks, int ratio,
+                         const InTransitOptions& options) {
+  mpimini::Comm& world = run.world;
+  std::vector<int> writers;
+  for (int w = 0; w < sim_ranks; ++w) {
+    if (sim_ranks + w / ratio == world.Rank()) writers.push_back(w);
+  }
+  adios::SstReader reader(world, writers,
+                          {.queue_limit = options.sst_queue_limit});
+  sensei::InTransitDataAdaptor data(group);
+  sensei::ConfigurableAnalysis analysis(group);
+  analysis.Initialize(xmlcfg::Parse(options.endpoint_xml).root);
+
+  RankOutcome outcome;
+  outcome.is_sim = false;
+  instrument::RankEnv* env = instrument::CurrentEnv();
+  const double busy0 = env ? env->busy.Seconds() : 0.0;
+  SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
+  const bool feed_e2e = group.Rank() == 0 && world.Rank() != 0 &&
+                        (run.telemetry.heartbeat_steps > 0 ||
+                         run.telemetry.MonitorEnabled());
+  while (auto step = reader.NextStep()) {
+    // Re-install the step's wire-carried origin around the analyses:
+    // endpoint-side writes (images, checkpoints) measure their e2e
+    // latency against it.  One rank per metric observes — group rank 0
+    // here, the compositing root inside the adaptors — so histogram
+    // counts stay partition-independent (one sample per step).
+    const instrument::StepProvenance origin =
+        StepOrigin(step->payloads, step->step);
+    instrument::ProvenanceScope provenance_scope(
+        origin.Valid() ? &origin : nullptr);
+    const auto seconds_since_origin = [&origin] {
+      return std::max(0.0, static_cast<double>(instrument::GlobalNowNs() -
+                                               origin.GlobalTimestampNs()) *
+                               1e-9);
+    };
+    if (origin.Valid() && group.Rank() == 0) {
+      if (auto* metrics = instrument::CurrentMetrics()) {
+        metrics->Observe("e2e.step_to_recv_seconds", seconds_since_origin());
+      }
+    }
+    data.SetStep(step->step, 0.0, step->payloads);
+    analysis.Execute(data);
+    if (feed_e2e && origin.Valid()) {
+      // Ship this step's end-to-end latency (origin → analyses done,
+      // which includes the image write) to the monitor host.  Buffered
+      // send: the heartbeat drains at its own cadence.
+      world.SendValue<double>(0, kTagE2eSample, seconds_since_origin());
+    }
+    SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
+  }
+  outcome.step_busy_seconds = (env ? env->busy.Seconds() : 0.0) - busy0;
+  analysis.Finalize();
+  // The per-rank tracer digest; Bridge::Finalize prints it on sim ranks.
+  // The flush matters: these threads exit right after, and unflushed stdio
+  // from a finishing rank thread is lost on some libc builds.
+  if (const instrument::Tracer* tracer = instrument::CurrentTracer()) {
+    std::fprintf(stderr, "%s\n", tracer->SummaryLine().c_str());
+    std::fflush(stderr);
+  }
+  outcome.bytes = analysis.TotalBytesWritten();
+  if (const auto catalyst =
+          FindAdaptor<sensei::CatalystAnalysisAdaptor>(&analysis,
+                                                       "catalyst")) {
+    outcome.images = catalyst->ImagesWritten();
+  }
+  return outcome;
+}
+
 }  // namespace
 
-std::string FormatHeartbeatLine(const HeartbeatLine& line) {
+std::string FormatHeartbeatLine(const instrument::MonitorStatus& status) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "[heartbeat] step %d/%d (%d%%) | %.2f steps/s",
-                line.done, line.total,
-                line.total > 0 ? 100 * line.done / line.total : 0,
-                line.rate_steps_per_second);
+                status.step, status.total_steps,
+                status.total_steps > 0
+                    ? 100 * status.step / status.total_steps
+                    : 0,
+                status.rate_steps_per_second);
   std::string out = buf;
   // A zero observed rate (clock glitch, first tick landing in the same
   // timer quantum) has no defined ETA: print `n/a`, never inf/nan or a
   // garbage division result.
-  if (line.eta_seconds >= 0.0 && std::isfinite(line.eta_seconds)) {
-    std::snprintf(buf, sizeof(buf), " | eta %.1fs", line.eta_seconds);
+  if (status.eta_seconds >= 0.0 && std::isfinite(status.eta_seconds)) {
+    std::snprintf(buf, sizeof(buf), " | eta %.1fs", status.eta_seconds);
     out += buf;
   } else {
     out += " | eta n/a";
   }
-  out += " | mem mean " + instrument::FormatBytes(line.mem_mean_bytes) +
-         " max " + instrument::FormatBytes(line.mem_max_bytes);
-  if (line.insitu_percent >= 0.0) {
+  out += " | mem mean " + instrument::FormatBytes(status.mem_mean_bytes) +
+         " max " + instrument::FormatBytes(status.mem_max_bytes);
+  if (status.insitu_percent >= 0.0) {
     // Clamp the display: busy-clock vs wall-clock skew can nudge the raw
     // ratio past 100, and a ">100% in situ" line reads as nonsense.  Work
     // running off the critical path is the offload column, never an
     // inflated insitu%.
     std::snprintf(buf, sizeof(buf), " | insitu %.0f%%",
-                  std::min(line.insitu_percent, 100.0));
+                  std::min(status.insitu_percent, 100.0));
     out += buf;
   }
-  if (line.offload_percent >= 0.0) {
+  if (status.offload_percent >= 0.0) {
     std::snprintf(buf, sizeof(buf), " | offload %.0f%%",
-                  std::min(line.offload_percent, 100.0));
+                  std::min(status.offload_percent, 100.0));
     out += buf;
   }
-  if (line.queue_limit > 0) {
-    std::snprintf(buf, sizeof(buf), " | sst queue %d/%d", line.queue_depth,
-                  line.queue_limit);
+  if (status.queue_limit > 0) {
+    std::snprintf(buf, sizeof(buf), " | sst queue %d/%d", status.queue_depth,
+                  status.queue_limit);
     out += buf;
   }
-  if (line.e2e_seconds >= 0.0) {
-    std::snprintf(buf, sizeof(buf), " | e2e %.1fms", line.e2e_seconds * 1e3);
+  if (status.e2e_seconds >= 0.0) {
+    std::snprintf(buf, sizeof(buf), " | e2e %.1fms",
+                  status.e2e_seconds * 1e3);
     out += buf;
   }
   // Wire column only when a codec actually shrank (or grew) the stream:
   // identity-only runs keep the pre-codec line byte for byte.
-  if (line.raw_bytes > 0 && line.wire_bytes > 0 &&
-      line.raw_bytes != line.wire_bytes) {
+  if (status.raw_bytes > 0 && status.wire_bytes > 0 &&
+      status.raw_bytes != status.wire_bytes) {
     std::snprintf(buf, sizeof(buf), " | wire %s (%.1fx)",
-                  instrument::FormatBytes(line.wire_bytes).c_str(),
-                  static_cast<double>(line.raw_bytes) /
-                      static_cast<double>(line.wire_bytes));
+                  instrument::FormatBytes(status.wire_bytes).c_str(),
+                  static_cast<double>(status.raw_bytes) /
+                      static_cast<double>(status.wire_bytes));
     out += buf;
   }
-  if (!line.note.empty()) out += " | " + line.note;
+  if (!status.note.empty()) out += " | " + status.note;
   return out;
 }
 
@@ -734,337 +981,70 @@ std::size_t WorkflowMetrics::MaxSimDevicePeakBytes() const {
 }
 
 WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
-  SharedMetrics shared;
-  {
-    core::MutexLock lock(shared.mutex);
-    shared.metrics.steps = options.steps;
-  }
   const instrument::TelemetryConfig telemetry =
       ResolveTelemetry(options.telemetry, options.sensei_xml);
-  // Causal plane (clock sync, step provenance, e2e latency) rides with the
-  // observability opt-ins: without them, runs keep the pre-provenance wire
-  // bytes and collective sequence exactly.
-  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
-  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
-  const int fail_step = FailStepFromEnv();
-
-  mpimini::RunResult run = mpimini::Runtime::Run(
-      nranks, MakeRunSettings(telemetry), [&](mpimini::Comm& comm) {
-    // Live run-health endpoint: rank 0 only, opt-in, loopback.  Created
-    // before the step loop so /healthz answers from the first step, and
-    // destroyed (-> Stop -> persisted status) at rank-body scope end,
-    // after the closing metrics reduction has refreshed it.
-    std::unique_ptr<instrument::MonitorServer> monitor;
-    if (comm.Rank() == 0 && telemetry.MonitorEnabled()) {
-      instrument::MonitorServer::Options monitor_options;
-      monitor_options.port = telemetry.monitor_port;
-      monitor_options.persist_path = telemetry.status_path;
-      monitor_options.port_file = telemetry.monitor_port_file;
-      monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
-    }
-    // Clock calibration brackets the run: the start sync feeds provenance
-    // timestamps and the aligned trace export, the closing re-sync (below)
-    // measures drift.  Collective — gated identically on every rank.
-    std::optional<mpimini::ClockSync> clock;
-    if (causal) clock = CalibrateRankClock(comm);
+  const StepHooks hooks{.fail_step = FailStepFromEnv(),
+                        .straggler_rank = options.straggler_rank,
+                        .straggler_seconds = options.straggler_seconds};
+  return RunWorkflow(nranks, options.steps, telemetry,
+                     [&](const RankRun& run) {
     occamini::Device device(options.backend, options.transfer);
-    nekrs::FlowSolver solver(comm, device, options.flow);
+    nekrs::FlowSolver solver(run.world, device, options.flow);
     std::optional<Bridge> bridge;
     if (options.use_sensei) bridge.emplace(solver, options.sensei_xml);
-    std::shared_ptr<sensei::CatalystAnalysisAdaptor> catalyst;
-    if (bridge) {
-      catalyst =
-          std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
-              bridge->Analysis().Find("catalyst"));
-    }
-    const sensei::ConfigurableAnalysis* analysis =
-        bridge ? &bridge->Analysis() : nullptr;
-
-    // Async mode: the analyses run concurrently on the worker thread, so
-    // their counters must not be read at step boundaries — sample with the
-    // device feed only, and take one full sample after Finalize (SetTotal
-    // and counter sampling are cumulative, so the final totals come out
-    // mode-independent).
-    const bool async = bridge && bridge->Async();
-    const sensei::ConfigurableAnalysis* loop_analysis =
-        async ? nullptr : analysis;
-    const sensei::CatalystAnalysisAdaptor* loop_catalyst =
-        async ? nullptr : catalyst.get();
-
-    instrument::RankEnv* env = instrument::CurrentEnv();
-    const double busy0 = env ? env->busy.Seconds() : 0.0;
-    Heartbeat heartbeat(comm, telemetry, options.steps, monitor.get());
-    SampleStepCounters(&device, loop_analysis, loop_catalyst, nullptr);
-    for (int s = 0; s < options.steps; ++s) {
-      // Step boundary first: a crash dump's tail names the step that was
-      // *in flight*, not the last one that completed.
-      instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
-                                    "solver.step", s);
-      if (s == fail_step) {
-        throw std::runtime_error("injected failure at step " +
-                                 std::to_string(s) + " (solver.step)");
-      }
-      solver.Step();
-      if (comm.Rank() == options.straggler_rank &&
-          options.straggler_seconds > 0.0) {
-        // Controlled straggler: busy-spin (not sleep — the busy clock must
-        // see it) under a solver.step span, so the time is booked as solver
-        // work and the detector's span attribution has a known right answer.
-        instrument::Span spin_span("solver.step");
-        const std::int64_t spin0 = instrument::Tracer::NowNs();
-        while (static_cast<double>(instrument::Tracer::NowNs() - spin0) *
-                   1e-9 <
-               options.straggler_seconds) {
-        }
-      }
-      {
-        // Stamp the just-completed step's causal origin; the SENSEI update
-        // (sync: inline; async: captured at Submit) runs under it so every
-        // downstream write can attribute back to this step.
-        instrument::StepProvenance provenance;
-        if (run_id != 0) {
-          provenance = instrument::MakeStepProvenance(run_id, comm.Rank(), s);
-        }
-        instrument::ProvenanceScope provenance_scope(
-            provenance.Valid() ? &provenance : nullptr);
-        if (bridge) bridge->Update();
-      }
-      SampleStepCounters(&device, loop_analysis, loop_catalyst, nullptr);
-      heartbeat.Tick(s, /*queue_depth=*/-1, /*queue_limit=*/-1,
-                     bridge ? bridge->OffloadedSeconds() : -1.0);
-    }
-    // Stop before teardown: Finalize (stream flushes, file closes) must not
-    // count toward the per-step figures.
-    const double step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-    if (bridge) bridge->Finalize();
-    // Post-Finalize the worker (if any) is joined and its attribution is
-    // folded into this rank: the full-feed sample closes the totals.
-    SampleStepCounters(&device, analysis, catalyst.get(), nullptr);
-
-    std::size_t bytes = 0;
-    std::size_t images = 0;
-    if (bridge) {
-      bytes = bridge->Analysis().TotalBytesWritten();
-      if (catalyst) images = catalyst->ImagesWritten();
-    }
-    if (clock) RecalibrateRankClock(comm, *clock);
-    CollectReports(comm,
-                   MakeReport(comm, /*is_sim=*/true, step_busy,
-                              bridge ? bridge->WorkerHostPeakBytes() : 0),
-                   bytes, images, shared);
-    CollectRunHealth(comm, telemetry, heartbeat.Anomalies(), monitor.get(),
-                     shared);
+    return SimStepLoop(run, options.steps, solver,
+                       bridge ? &*bridge : nullptr,
+                       /*e2e_source=*/nullptr, hooks);
   });
-
-  // Rank threads are joined, but the analysis (rightly) still wants the
-  // lock for these accesses.
-  core::MutexLock lock(shared.mutex);
-  shared.metrics.wall_seconds = run.wall_seconds;
-  ExportTelemetry(telemetry, run, shared.metrics);
-  ExportRunHealth(telemetry, shared.metrics);
-  return shared.metrics;
 }
 
 WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
   const int ratio = std::max(1, options.sim_per_endpoint);
   const int endpoint_ranks = (sim_ranks + ratio - 1) / ratio;
-  const int world_ranks = sim_ranks + endpoint_ranks;
   const bool streaming = XmlHasAdios(options.sim_xml);
-
-  SharedMetrics shared;
-  {
-    core::MutexLock lock(shared.mutex);
-    shared.metrics.steps = options.steps;
-  }
-  const instrument::TelemetryConfig telemetry =
-      ResolveTelemetry(options.telemetry, options.sim_xml);
-  // See RunInSitu: the causal plane follows the observability opt-ins.
-  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
-  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
-
-  mpimini::RunResult run = mpimini::Runtime::Run(
-      world_ranks, MakeRunSettings(telemetry), [&](mpimini::Comm& world) {
+  return RunWorkflow(sim_ranks + endpoint_ranks, options.steps,
+                     ResolveTelemetry(options.telemetry, options.sim_xml),
+                     [&](const RankRun& run) {
+    mpimini::Comm& world = run.world;
     const bool is_sim = world.Rank() < sim_ranks;
-    // World rank 0 is sim-group rank 0 (the Split keys on world rank), so
-    // the monitor host is also the rank the sim-group heartbeat reduces
-    // onto — one rank owns both planes.
-    std::unique_ptr<instrument::MonitorServer> monitor;
-    if (world.Rank() == 0 && telemetry.MonitorEnabled()) {
-      instrument::MonitorServer::Options monitor_options;
-      monitor_options.port = telemetry.monitor_port;
-      monitor_options.persist_path = telemetry.status_path;
-      monitor_options.port_file = telemetry.monitor_port_file;
-      monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
-    }
+    // Keyed on world rank, so a sim rank's group rank is its world rank.
     mpimini::Comm group = world.Split(is_sim ? 0 : 1, world.Rank());
-    instrument::RankEnv* env = instrument::CurrentEnv();
     // Label this rank's trace lane with its comm group so the export
     // renders two process rows (sim / endpoint) on one timeline.
     if (instrument::Tracer* tracer = instrument::CurrentTracer()) {
       tracer->SetGroup(is_sim ? 0 : 1, is_sim ? "sim" : "endpoint");
     }
-    // World-wide clock calibration against world rank 0 — both groups
-    // export onto (and the provenance timestamps live on) one timeline.
-    std::optional<mpimini::ClockSync> clock;
-    if (causal) clock = CalibrateRankClock(world);
-
-    std::size_t bytes = 0;
-    std::size_t images = 0;
-    std::size_t worker_peak = 0;
-    double step_busy = 0.0;
-    // Hoisted out of the sim block: the closing CollectRunHealth runs on
-    // the world communicator, after the heartbeat (sim-group scope) died.
-    std::vector<instrument::AnomalyRecord> anomalies;
-
-    if (is_sim) {
-      occamini::Device device(options.backend, options.transfer);
-      nekrs::FlowSolver solver(group, device, options.flow);
-      const int endpoint_world_rank = sim_ranks + world.Rank() / ratio;
-
-      Bridge bridge(solver, options.sim_xml,
-                    [&](sensei::ConfigurableAnalysis& analysis) {
-                      analysis.RegisterFactory(
-                          "adios",
-                          [&](const xmlcfg::Element& e, mpimini::Comm&) {
-                            sensei::AdiosOptions adios_options;
-                            adios_options.arrays =
-                                sensei::SplitList(e.Attr("arrays"));
-                            adios_options.sst.queue_limit =
-                                options.sst_queue_limit;
-                            adios_options.codecs =
-                                sensei::ParseTransportCodecs(e);
-                            return std::make_shared<
-                                sensei::AdiosAnalysisAdaptor>(
-                                world, endpoint_world_rank, adios_options);
-                          });
-                    });
-
-      auto adios =
-          std::dynamic_pointer_cast<sensei::AdiosAnalysisAdaptor>(
-              bridge.Analysis().Find("adios"));
-
-      // Async mode: the SST sender runs on the worker thread; its stats and
-      // the analysis byte counts are worker-owned until Finalize joins it.
-      // QueueDepth/QueueLimit stay readable (atomic mirror / immutable).
-      const bool async = bridge.Async();
-      const sensei::ConfigurableAnalysis* loop_analysis =
-          async ? nullptr : &bridge.Analysis();
-      const adios::SstStats* loop_sst =
-          (!async && adios) ? &adios->TransportStats() : nullptr;
-
-      const double busy0 = env ? env->busy.Seconds() : 0.0;
-      // Heartbeat runs on the sim group: endpoint ranks sit in their
-      // receive loop and cannot join step-boundary collectives.
-      Heartbeat heartbeat(group, telemetry, options.steps, monitor.get(),
-                          streaming ? &world : nullptr);
-      SampleStepCounters(&device, loop_analysis, nullptr, loop_sst);
-      for (int s = 0; s < options.steps; ++s) {
-        instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
-                                      "solver.step", s);
-        solver.Step();
-        {
-          // Causal origin of this step: crosses the SST wire in the v3
-          // step context, links sst.send to sst.recv in the trace, and
-          // anchors the endpoint's e2e latency measurement.
-          instrument::StepProvenance provenance;
-          if (run_id != 0) {
-            provenance =
-                instrument::MakeStepProvenance(run_id, world.Rank(), s);
-          }
-          instrument::ProvenanceScope provenance_scope(
-              provenance.Valid() ? &provenance : nullptr);
-          bridge.Update();
-        }
-        SampleStepCounters(&device, loop_analysis, nullptr, loop_sst);
-        heartbeat.Tick(s, adios ? adios->QueueDepth() : -1,
-                       adios ? adios->QueueLimit() : -1,
-                       bridge.OffloadedSeconds(),
-                       adios ? adios->RawBytes() : 0,
-                       adios ? adios->WireBytes() : 0);
-      }
-      step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      bridge.Finalize();
-      // Post-Finalize full-feed sample (see RunInSitu).
-      SampleStepCounters(&device, &bridge.Analysis(), nullptr,
-                         adios ? &adios->TransportStats() : nullptr);
-      bytes = bridge.Analysis().TotalBytesWritten();
-      worker_peak = bridge.WorkerHostPeakBytes();
-      anomalies = heartbeat.Anomalies();
-    } else if (streaming) {
-      // Endpoint rank: receive steps and run the endpoint analyses.
-      std::vector<int> writers;
-      for (int w = 0; w < sim_ranks; ++w) {
-        if (sim_ranks + w / ratio == world.Rank()) writers.push_back(w);
-      }
-      adios::SstReader reader(world, writers,
-                              {.queue_limit = options.sst_queue_limit});
-      sensei::InTransitDataAdaptor data(group);
-      sensei::ConfigurableAnalysis analysis(group);
-      analysis.Initialize(xmlcfg::Parse(options.endpoint_xml).root);
-
-      const double busy0 = env ? env->busy.Seconds() : 0.0;
-      SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
-      const bool feed_e2e = group.Rank() == 0 && world.Rank() != 0 &&
-                            (telemetry.heartbeat_steps > 0 ||
-                             telemetry.MonitorEnabled());
-      while (auto step = reader.NextStep()) {
-        // Re-install the step's wire-carried origin around the analyses:
-        // endpoint-side writes (images, checkpoints) measure their e2e
-        // latency against it.  One rank per metric observes — group rank 0
-        // here, the compositing root inside the adaptors — so histogram
-        // counts stay partition-independent (one sample per step).
-        const instrument::StepProvenance origin =
-            StepOrigin(step->payloads, step->step);
-        instrument::ProvenanceScope provenance_scope(
-            origin.Valid() ? &origin : nullptr);
-        if (origin.Valid() && group.Rank() == 0) {
-          if (auto* metrics = instrument::CurrentMetrics()) {
-            metrics->Observe(
-                "e2e.step_to_recv_seconds",
-                std::max(0.0, static_cast<double>(
-                                  instrument::GlobalNowNs() -
-                                  origin.GlobalTimestampNs()) *
-                                  1e-9));
-          }
-        }
-        data.SetStep(step->step, 0.0, step->payloads);
-        analysis.Execute(data);
-        if (feed_e2e && origin.Valid()) {
-          // Ship this step's end-to-end latency (origin → analyses done,
-          // which includes the image write) to the monitor host.  Buffered
-          // send: the heartbeat drains at its own cadence.
-          world.SendValue<double>(
-              0, kTagE2eSample,
-              std::max(0.0, static_cast<double>(instrument::GlobalNowNs() -
-                                                origin.GlobalTimestampNs()) *
-                                1e-9));
-        }
-        SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
-      }
-      step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      analysis.Finalize();
-      PrintEndpointSummary();
-      bytes = analysis.TotalBytesWritten();
-      if (auto catalyst =
-              std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
-                  analysis.Find("catalyst"))) {
-        images = catalyst->ImagesWritten();
-      }
+    if (!is_sim && streaming) {
+      return EndpointLoop(run, group, sim_ranks, ratio, options);
     }
-
-    if (clock) RecalibrateRankClock(world, *clock);
-    CollectReports(world, MakeReport(world, is_sim, step_busy, worker_peak),
-                   bytes, images, shared);
-    CollectRunHealth(world, telemetry, anomalies, monitor.get(), shared);
+    if (!is_sim) {
+      RankOutcome idle;  // no stream, so nothing arrives to analyse
+      idle.is_sim = false;
+      return idle;
+    }
+    occamini::Device device(options.backend, options.transfer);
+    nekrs::FlowSolver solver(group, device, options.flow);
+    const int endpoint_world_rank = sim_ranks + world.Rank() / ratio;
+    Bridge bridge(solver, options.sim_xml,
+                  [&](sensei::ConfigurableAnalysis& analysis) {
+                    analysis.RegisterFactory(
+                        "adios",
+                        [&](const xmlcfg::Element& e, mpimini::Comm&) {
+                          sensei::AdiosOptions adios_options;
+                          adios_options.arrays =
+                              sensei::SplitList(e.Attr("arrays"));
+                          adios_options.sst.queue_limit =
+                              options.sst_queue_limit;
+                          adios_options.codecs =
+                              sensei::ParseTransportCodecs(e);
+                          return std::make_shared<
+                              sensei::AdiosAnalysisAdaptor>(
+                              world, endpoint_world_rank, adios_options);
+                        });
+                  });
+    return SimStepLoop(run, options.steps, solver, &bridge,
+                       streaming ? &world : nullptr);
   });
-
-  // Rank threads are joined, but the analysis (rightly) still wants the
-  // lock for these accesses.
-  core::MutexLock lock(shared.mutex);
-  shared.metrics.wall_seconds = run.wall_seconds;
-  ExportTelemetry(telemetry, run, shared.metrics);
-  ExportRunHealth(telemetry, shared.metrics);
-  return shared.metrics;
 }
 
 }  // namespace nek_sensei

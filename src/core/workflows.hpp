@@ -7,12 +7,16 @@
 //  * RunInTransit  — §4.2: simulation ranks stream over the SST engine to
 //    SENSEI endpoint ranks (4:1 by default); the endpoint runs its own
 //    analyses (No Transport / Checkpointing / Catalyst).
+//
+// Both run one step loop (Listing 3) on their simulation ranks, so a sim
+// XML that also renders (a hybrid in transit run) behaves as in situ.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "instrument/metrics.hpp"
+#include "instrument/monitor.hpp"
 #include "instrument/telemetry.hpp"
 #include "nekrs/flow_solver.hpp"
 #include "occamini/device.hpp"
@@ -74,46 +78,11 @@ struct InSituOptions {
   double straggler_seconds = 0.0;
 };
 
-/// Inputs of one rank-0 heartbeat progress line, after the cross-rank
-/// reductions.  Public (with FormatHeartbeatLine) so the formatting rules —
-/// including the display clamps — are unit-testable.
-struct HeartbeatLine {
-  int done = 0;
-  int total = 0;
-  double rate_steps_per_second = 0.0;
-  /// Seconds to completion at the current rate.  Negative (or non-finite)
-  /// means "unknown" — zero observed rate — and renders as `eta n/a`, never
-  /// as inf/garbage.
-  double eta_seconds = -1.0;
-  std::size_t mem_mean_bytes = 0;
-  std::size_t mem_max_bytes = 0;
-  /// Mean across ranks of cumulative rank-thread in situ seconds over wall
-  /// elapsed, as a percentage.  Negative omits the column (metrics plane
-  /// off).  The display clamps at 100: bookkeeping skew (busy-clock vs
-  /// wall) can push the raw ratio past it.
-  double insitu_percent = -1.0;
-  /// Same shape for updates offloaded to the async worker (which genuinely
-  /// exceed rank-thread time under overlap — hence a separate column, not
-  /// a bigger insitu%).  Negative = sync mode, column omitted.
-  double offload_percent = -1.0;
-  int queue_depth = -1;
-  int queue_limit = -1;  ///< <= 0 omits the sst queue column
-  /// Latest end-to-end step→image latency estimate, seconds (in transit:
-  /// shipped from the endpoint group; in situ: the run's mean so far).
-  /// Negative omits the column — no delivered step observed yet.
-  double e2e_seconds = -1.0;
-  /// Cross-rank sums of transport raw/wire bytes.  The wire column only
-  /// prints when both are nonzero and they differ (i.e. a non-identity
-  /// codec actually ran), so uncompressed runs keep their exact line.
-  std::size_t raw_bytes = 0;
-  std::size_t wire_bytes = 0;
-  /// Free-form annotation appended as a final column (straggler verdicts).
-  /// Empty omits the column.
-  std::string note;
-};
-
-/// Render one heartbeat line ("[heartbeat] step ... | ...").
-[[nodiscard]] std::string FormatHeartbeatLine(const HeartbeatLine& line);
+/// Render one heartbeat progress line ("[heartbeat] step ... | ...") from
+/// the tick's status.  Public so the formatting rules — including the
+/// display clamps — are unit-testable.
+[[nodiscard]] std::string FormatHeartbeatLine(
+    const instrument::MonitorStatus& status);
 
 /// Run the in situ workflow on `nranks` rank threads. Collective-free
 /// convenience: spawns its own mpimini runtime.

@@ -149,6 +149,14 @@ std::string RenderStatusJson(const MonitorStatus& status) {
 }
 
 MonitorServer::MonitorServer(const Options& options) : options_(options) {
+  // htons would silently wrap an out-of-range port (70000 -> 4464): refuse
+  // it like a failed bind instead.
+  if (options_.port < 0 || options_.port > 65535) {
+    std::fprintf(stderr,
+                 "warning: monitor disabled: port %d outside [0, 65535]\n",
+                 options_.port);
+    return;
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     std::fprintf(stderr, "warning: monitor disabled: socket() failed\n");

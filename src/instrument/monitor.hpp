@@ -11,8 +11,8 @@
 //
 // Threading model: the server never touches the per-rank single-owner
 // registries.  The rank-0 thread *publishes* an immutable MonitorStatus
-// snapshot (built from the heartbeat's collective reductions) under a
-// mutex; the server thread copies it per request.  This is exactly the
+// snapshot (its fold of one heartbeat tick's Gather) under a mutex; the
+// server thread copies it per request.  This is exactly the
 // cross-thread shape the core::Mutex annotations exist to police — the
 // monitor thread never reads live registries directly.
 #pragma once
@@ -30,21 +30,38 @@
 
 namespace instrument {
 
-/// One published snapshot of run health, as served by /status.
+/// One heartbeat tick's snapshot of run health: printed as the heartbeat
+/// line and served by /status.  Negative optional fields are omitted from
+/// both.
 struct MonitorStatus {
   int step = 0;
   int total_steps = 0;
   double rate_steps_per_second = 0.0;
-  double eta_seconds = -1.0;  ///< negative = unknown (serialized as null)
+  /// Seconds to completion at the current rate.  Negative (or non-finite)
+  /// means unknown — zero observed rate — and renders as null / `eta n/a`.
+  double eta_seconds = -1.0;
   double step_seconds_min = 0.0;
   double step_seconds_mean = 0.0;
   double step_seconds_max = 0.0;
+  std::size_t mem_mean_bytes = 0;  ///< host high-water, mean across ranks
+  std::size_t mem_max_bytes = 0;   ///< host high-water, max across ranks
   int queue_depth = -1;
   int queue_limit = -1;  ///< <= 0 omits the sst_queue object
-  double insitu_percent = -1.0;   ///< negative omitted
-  double offload_percent = -1.0;  ///< negative omitted
-  /// Latest end-to-end step→image latency estimate; negative omitted.
+  /// Mean across ranks of cumulative rank-thread in situ seconds over wall
+  /// elapsed, as a percentage (metrics plane only).  The line clamps it at
+  /// 100: busy-clock vs wall skew can push the raw ratio past it.
+  double insitu_percent = -1.0;
+  /// Same shape for updates offloaded to the async worker (which genuinely
+  /// exceed rank-thread time under overlap); async mode only.
+  double offload_percent = -1.0;
+  /// Latest end-to-end step→image latency estimate (in transit: shipped
+  /// from the endpoint group; in situ: the run's mean so far).
   double e2e_seconds = -1.0;
+  /// Cross-rank sums of transport raw/wire bytes.  The line's wire column
+  /// prints only when both are nonzero and differ (a codec actually ran).
+  std::size_t raw_bytes = 0;
+  std::size_t wire_bytes = 0;
+  std::string note;  ///< new straggler verdicts (the line's last column)
   std::vector<AnomalyRecord> anomalies;
   MetricsReport metrics;  ///< cross-rank reduction backing /metrics
 };
@@ -59,10 +76,11 @@ struct MonitorStatus {
 [[nodiscard]] std::string RenderStatusJson(const MonitorStatus& status);
 
 /// The loopback HTTP server.  Construction binds and starts the serving
-/// thread; a failed bind logs a warning and leaves Serving() false rather
-/// than killing the run (observability must never take the simulation
-/// down).  Stop() (also run by the destructor) joins the thread and
-/// persists the last published status via AtomicFile when configured.
+/// thread; a failed bind (or a port outside [0, 65535]) logs a warning and
+/// leaves Serving() false rather than killing the run (observability must
+/// never take the simulation down).  Stop() (also run by the destructor)
+/// joins the thread and persists the last published status via AtomicFile
+/// when configured.
 class MonitorServer {
  public:
   struct Options {

@@ -316,6 +316,36 @@ TEST(WorkflowTest, InTransitSimMemoryIndependentOfEndpointAnalysis) {
   EXPECT_EQ(m_none.MaxSimHostPeakBytes(), m_chk.MaxSimHostPeakBytes());
 }
 
+TEST(WorkflowTest, HybridInTransitCountsSimAndEndpointImages) {
+  // Hybrid: the sim ranks render in situ and also stream to an endpoint
+  // that renders too.  The run's image count must cover both sides.
+  const std::string dir = TempSubdir("wf_hybrid");
+  nek_sensei::InTransitOptions options;
+  nekrs::cases::RayleighBenardOptions rbc;
+  rbc.elements = {2, 2, 2};
+  rbc.order = 3;
+  options.flow = nekrs::cases::RayleighBenardCase(rbc);
+  options.steps = 4;
+  options.sim_per_endpoint = 2;
+  options.sim_xml =
+      "<sensei><analysis type=\"adios\" frequency=\"2\"/>"
+      "<analysis type=\"catalyst\" frequency=\"2\" output=\"" + dir +
+      "\" prefix=\"sim\" array=\"temperature\" width=\"48\" height=\"32\"/>"
+      "</sensei>";
+  options.endpoint_xml =
+      "<sensei><analysis type=\"catalyst\" output=\"" + dir +
+      "\" prefix=\"endpoint\" array=\"temperature\" width=\"48\" "
+      "height=\"32\"/></sensei>";
+
+  const auto metrics = nek_sensei::RunInTransit(2, options);
+  std::size_t pngs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".png") ++pngs;
+  }
+  EXPECT_EQ(pngs, 4u);  // one view per side x triggers at steps 2 and 4
+  EXPECT_EQ(metrics.images_written, pngs);
+}
+
 
 // ---- Telemetry --------------------------------------------------------------
 
@@ -920,9 +950,9 @@ TEST(HeartbeatFormatTest, ClampsInsituShareAtOneHundredPercent) {
   // Busy-clock vs wall-clock skew can push the raw ratio past 100; the
   // printed line must clamp (work off the critical path belongs to the
   // offload column instead).
-  nek_sensei::HeartbeatLine line;
-  line.done = 5;
-  line.total = 10;
+  instrument::MonitorStatus line;
+  line.step = 5;
+  line.total_steps = 10;
   line.rate_steps_per_second = 2.0;
   line.eta_seconds = 2.5;
   line.mem_mean_bytes = 1024;
@@ -938,9 +968,9 @@ TEST(HeartbeatFormatTest, ClampsInsituShareAtOneHundredPercent) {
 }
 
 TEST(HeartbeatFormatTest, AsyncLineAddsOffloadAndQueueColumns) {
-  nek_sensei::HeartbeatLine line;
-  line.done = 4;
-  line.total = 8;
+  instrument::MonitorStatus line;
+  line.step = 4;
+  line.total_steps = 8;
   line.insitu_percent = 42.0;
   line.offload_percent = 33.0;
   line.queue_depth = 1;
@@ -952,9 +982,9 @@ TEST(HeartbeatFormatTest, AsyncLineAddsOffloadAndQueueColumns) {
 }
 
 TEST(HeartbeatFormatTest, WireColumnOnlyWhenCompressionRan) {
-  nek_sensei::HeartbeatLine line;
-  line.done = 2;
-  line.total = 4;
+  instrument::MonitorStatus line;
+  line.step = 2;
+  line.total_steps = 4;
 
   // No transport at all: no wire column.
   EXPECT_EQ(nek_sensei::FormatHeartbeatLine(line).find("wire"),
@@ -981,9 +1011,9 @@ TEST(HeartbeatFormatTest, UnknownEtaRendersNaNeverInfOrGarbage) {
   // A zero observed rate (first tick inside one timer quantum) has no
   // defined ETA.  The line must say `eta n/a` — the old behavior printed
   // the raw division result (inf).
-  nek_sensei::HeartbeatLine line;
-  line.done = 1;
-  line.total = 10;
+  instrument::MonitorStatus line;
+  line.step = 1;
+  line.total_steps = 10;
   line.rate_steps_per_second = 0.0;
   line.eta_seconds = -1.0;
   std::string out = nek_sensei::FormatHeartbeatLine(line);
@@ -1008,9 +1038,9 @@ TEST(HeartbeatFormatTest, UnknownEtaRendersNaNeverInfOrGarbage) {
 }
 
 TEST(HeartbeatFormatTest, NoteColumnCarriesStragglerVerdicts) {
-  nek_sensei::HeartbeatLine line;
-  line.done = 3;
-  line.total = 9;
+  instrument::MonitorStatus line;
+  line.step = 3;
+  line.total_steps = 9;
   EXPECT_EQ(nek_sensei::FormatHeartbeatLine(line).find("straggler"),
             std::string::npos);
   line.note = "straggler rank 2 (solver)";

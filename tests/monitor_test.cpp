@@ -461,4 +461,54 @@ TEST(MonitorWorkflowTest, InSituRunIsScrapableMidRunAndPersistsArtifacts) {
   EXPECT_GT(std::atoi(Slurp(port_file).c_str()), 0);
 }
 
+TEST(MonitorWorkflowTest, InTransitRunPublishesSimGroupStatusWithSstQueue) {
+  // The in transit heartbeat ticks on the sim group while the endpoint sits
+  // in its receive loop; world rank 0 serves the sim group's status.
+  const std::string dir = TempSubdir("wf_intransit");
+  nekrs::cases::RayleighBenardOptions rbc;
+  rbc.elements = {2, 2, 2};
+  rbc.order = 3;
+
+  nek_sensei::InTransitOptions options;
+  options.flow = nekrs::cases::RayleighBenardCase(rbc);
+  options.steps = 6;
+  options.sim_per_endpoint = 2;  // 2 sim ranks + 1 endpoint
+  options.sim_xml =
+      "<sensei><analysis type=\"adios\" frequency=\"2\"/></sensei>";
+  options.sst_queue_limit = 1;
+  options.telemetry.monitor_port = 0;  // ephemeral
+  options.telemetry.metrics_path = dir + "/metrics.json";
+  options.telemetry.status_path = dir + "/status.json";
+
+  const auto metrics = nek_sensei::RunInTransit(2, options);
+  ASSERT_EQ(metrics.ranks.size(), 3u);
+
+  // Whether the endpoint's last e2e sample lands before the final tick is
+  // timing-dependent, so e2e_seconds is deliberately not asserted.
+  const std::string status_json = Slurp(dir + "/status.json");
+  EXPECT_NE(status_json.find("\"step\": 6,"), std::string::npos)
+      << status_json;
+  EXPECT_NE(status_json.find("\"total_steps\": 6,"), std::string::npos);
+  EXPECT_NE(status_json.find("\"sst_queue\": {\"depth\": "),
+            std::string::npos);
+  EXPECT_NE(status_json.find(", \"limit\": 1}"), std::string::npos);
+  EXPECT_NE(Slurp(dir + "/metrics.json").find("\"anomalies\": ["),
+            std::string::npos);
+}
+
+TEST(MonitorServerTest, OutOfRangePortDegradesToNotServing) {
+  // htons would wrap 70000 to 4464; the server must refuse it instead, the
+  // way it handles a failed bind, and write no port file.
+  const std::string dir = TempSubdir("badport");
+  for (const int port : {70000, 65536, -2}) {
+    MonitorServer::Options options;
+    options.port = port;
+    options.port_file = dir + "/monitor.port";
+    MonitorServer server(options);
+    EXPECT_FALSE(server.Serving()) << port;
+    EXPECT_EQ(server.Port(), -1) << port;
+    EXPECT_FALSE(std::filesystem::exists(options.port_file)) << port;
+  }
+}
+
 }  // namespace

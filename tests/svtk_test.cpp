@@ -206,7 +206,10 @@ class VtuRoundTripTest : public ::testing::TestWithParam<svtk::VtuEncoding> {};
 
 TEST_P(VtuRoundTripTest, WriteThenReadPreservesEverything) {
   UnstructuredGrid grid = MakeUnitCubeGrid();
-  const std::string path = ::testing::TempDir() + "/roundtrip.vtu";
+  // One file per encoding: the instances may run concurrently.
+  const std::string path =
+      ::testing::TempDir() + "/roundtrip_" +
+      (GetParam() == svtk::VtuEncoding::kAscii ? "ascii" : "binary") + ".vtu";
   const std::size_t bytes = svtk::WriteVtu(grid, path, GetParam());
   EXPECT_GT(bytes, 0u);
   EXPECT_EQ(std::filesystem::file_size(path), bytes);
