@@ -6,10 +6,12 @@
 // the same trigger cadence relationship, the same 4:1 in transit ratio.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -91,6 +93,20 @@ inline void PrintBenchUsage(const char* binary) {
       binary);
 }
 
+/// Parses all of `text` as a decimal integer in [lo, hi] into `out`.  "3x",
+/// "" and values past int range fail instead of truncating or wrapping.
+inline bool ParseIntInRange(const std::string& text, int lo, int hi,
+                            int& out) {
+  int parsed = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < lo || parsed > hi) {
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   auto value = [&](int& i, const char* flag) -> std::string {
@@ -106,8 +122,9 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       args.trace = true;
       args.trace_path = value(i, "--trace");
     } else if (arg == "--heartbeat") {
-      args.heartbeat_steps = std::atoi(value(i, "--heartbeat").c_str());
-      if (args.heartbeat_steps < 1) {
+      if (!ParseIntInRange(value(i, "--heartbeat"), 1,
+                           std::numeric_limits<int>::max(),
+                           args.heartbeat_steps)) {
         std::cerr << "error: --heartbeat needs a positive step count\n";
         std::exit(2);
       }
@@ -129,8 +146,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
         const std::string next = argv[i + 1];
         if (!next.empty() &&
             next.find_first_not_of("0123456789") == std::string::npos) {
-          args.monitor_port = std::atoi(argv[++i]);
-          if (args.monitor_port > 65535) {
+          if (!ParseIntInRange(argv[++i], 0, 65535, args.monitor_port)) {
             std::cerr << "error: --monitor port must be in [0, 65535]\n";
             std::exit(2);
           }

@@ -1,14 +1,15 @@
 // Perf-regression gate: compare a fresh BENCH_*.json against a committed
 // baseline (bench/baselines/).  Exit 0 when nothing regressed; exit 1 on a
 // regression, a metric missing from the current run, or a smoke/full
-// configuration mismatch; exit 2 on usage errors or a missing report file
-// (e.g. a baseline not yet committed); exit 3 when a report file exists but
-// cannot be parsed (truncated write, bad merge) — CI treats 2 as "baseline
-// needs to be added" and 3 as "artifact corruption, investigate".
+// configuration mismatch; exit 2 on usage errors (a threshold that is not a
+// finite non-negative number among them) or a missing report file (e.g. a
+// baseline not yet committed); exit 3 when a report file exists but cannot
+// be parsed (truncated write, bad merge) — CI treats 2 as "baseline needs
+// to be added" and 3 as "artifact corruption, investigate".
 //
-//   $ bench/compare_runs --baseline bench/baselines/BENCH_fig2.json \
-//                        --current BENCH_fig2.json [--time-threshold 0.10] \
-//                        [--counter-threshold 0.0]
+//   $ bench/compare_runs --baseline bench/baselines/BENCH_fig2.json
+//                        --current BENCH_fig2.json [--time-threshold 0.10]
+//                        [--counter-threshold 0.0] [--e2e-threshold 0.50]
 //
 // Timing metrics (names containing "seconds" or "_ms") are judged with the
 // time threshold (relative headroom; the default 0.10 fails a 20 %
@@ -16,8 +17,11 @@
 // is deterministic and judged with the counter threshold (default 0.0: any
 // increase fails).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -43,6 +47,23 @@ void PrintUsage(const char* binary) {
       binary);
 }
 
+/// A threshold flag's value: the whole string must be a finite,
+/// non-negative number.  "nan", "abc", "0.1x" and "-1" exit 2 rather than
+/// switching the gate off or silently becoming another number.
+double ParseThreshold(const std::string& flag, const char* text) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    std::fprintf(stderr,
+                 "error: %s needs a finite non-negative fraction, got '%s'\n",
+                 flag.c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,11 +85,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--current") {
       current_path = value();
     } else if (arg == "--time-threshold") {
-      options.time_threshold = std::strtod(value(), nullptr);
+      options.time_threshold = ParseThreshold(arg, value());
     } else if (arg == "--counter-threshold") {
-      options.counter_threshold = std::strtod(value(), nullptr);
+      options.counter_threshold = ParseThreshold(arg, value());
     } else if (arg == "--e2e-threshold") {
-      options.e2e_threshold = std::strtod(value(), nullptr);
+      options.e2e_threshold = ParseThreshold(arg, value());
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return 0;

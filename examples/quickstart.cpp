@@ -18,8 +18,10 @@
 // --metrics-out, the run writes one rank-aggregated run-health
 // metrics.json (min/mean/max/p95 + imbalance per metric).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 
@@ -50,11 +52,15 @@ int main(int argc, char** argv) {
       }
       metrics_path = argv[++i];
     } else if (arg == "--heartbeat") {
-      if (i + 1 >= argc || (heartbeat_steps = std::atoi(argv[i + 1])) < 1) {
+      // Whole-string parse: "3x" and values past int range are rejected,
+      // not truncated or wrapped.
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, heartbeat_steps);
+      if (ec != std::errc() || ptr != end || heartbeat_steps < 1) {
         std::cerr << "error: --heartbeat needs a positive step count\n";
         return 2;
       }
-      ++i;
     } else if (arg == "--async") {
       async = true;
     } else if (arg == "--monitor") {

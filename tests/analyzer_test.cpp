@@ -1,11 +1,15 @@
 // Unit tests for the nsm_analyze lexer and extractor (tools/nsm_analyze).
-// The end-to-end behavior of the four checks is covered by the fixture
-// ctests (tools/lint_fixtures/analyze/); these tests pin the parts a
-// fixture cannot isolate: exact token streams for the lexer edge cases and
-// the extractor's event/scope model.
+// The fixture ctests (tools/lint_fixtures/) cover each check end to end;
+// these tests pin what a fixture cannot isolate: exact token streams for
+// the lexer edge cases, the extractor's event/scope model, and the exact
+// per-rule counts of the seeded fixtures.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checks.hpp"
@@ -102,6 +106,25 @@ TEST(LexerTest, UnterminatedLiteralStopsAtNewline) {
   EXPECT_EQ(TextsOf(tokens),
             (std::vector<std::string>{"auto", "s", "=", "oops", "int", "next",
                                       ";"}));
+}
+
+TEST(LexerTest, IncludeDirectivesYieldHeaderTokens) {
+  const auto tokens = Lex(
+      "#include <mutex>\n"
+      "  # include \"core/buffer.hpp\"  // trailing comment\n"
+      "#define GUARD 1\n"
+      "#include_next <deque>\n"
+      "// #include <thread>\n"
+      "/* #include <atomic> */\n"
+      "auto s = R\"(\n#include <condition_variable>\n)\";\n");
+  std::vector<std::pair<std::string, int>> includes;
+  for (const Token& t : tokens) {
+    if (t.kind == TokenKind::kInclude) includes.emplace_back(t.text, t.line);
+  }
+  EXPECT_EQ(includes, (std::vector<std::pair<std::string, int>>{
+                          {"mutex", 1}, {"core/buffer.hpp", 2}}));
+  // Every other directive, comment and raw-string body stays tokenless.
+  EXPECT_EQ(tokens.size(), 2u + 5u);  // two includes; auto s = <string> ;
 }
 
 // ---- extractor -------------------------------------------------------------
@@ -270,6 +293,22 @@ TEST(ModelTest, RankedDeclExtraction) {
   EXPECT_TRUE(model.ranked_decls[1].spec_constant.empty());
 }
 
+TEST(ModelTest, RawAllocationsAreExpressionsOnly) {
+  const FileModel model = Extract(
+      "struct S { S(const S&) = delete; };\n"
+      "void* operator new(std::size_t bytes);\n"
+      "void operator delete(void* p) noexcept;\n"
+      "const char* k = \"new int\";  // delete p\n"
+      "void F(int* p) { delete[] p; }\n"
+      "auto* t = new T(1, 2);\n");
+  std::vector<std::pair<std::string, int>> found;
+  for (const auto& fact : model.raw_allocations) {
+    found.emplace_back(fact.text, fact.line);
+  }
+  EXPECT_EQ(found, (std::vector<std::pair<std::string, int>>{{"delete", 5},
+                                                             {"new", 6}}));
+}
+
 // ---- small check helpers ---------------------------------------------------
 
 TEST(ChecksTest, RankConstantName) {
@@ -287,6 +326,78 @@ TEST(ChecksTest, NameTaxonomy) {
   EXPECT_FALSE(nsm_analyze::MatchesNameTaxonomy("trailing."));
   EXPECT_FALSE(nsm_analyze::MatchesNameTaxonomy(".leading"));
   EXPECT_FALSE(nsm_analyze::MatchesNameTaxonomy("double..dot"));
+}
+
+// ---- hygiene ---------------------------------------------------------------
+
+using Counts = std::map<std::string, int>;
+
+Counts RuleCounts(const std::vector<nsm_analyze::Finding>& findings) {
+  Counts counts;
+  for (const auto& f : findings) ++counts[f.rule];
+  return counts;
+}
+
+Counts HygieneCounts(const std::string& source) {
+  nsm_analyze::Analysis analysis({Extract(source)}, nsm_analyze::Config{});
+  std::vector<nsm_analyze::Finding> findings;
+  analysis.CheckHygiene(&findings);
+  return RuleCounts(findings);
+}
+
+TEST(ChecksTest, VocabularyInACommentIsNotAUse) {
+  EXPECT_EQ(HygieneCounts("#include <mutex>\n"
+                          "// std::mutex would guard this\n"
+                          "int shared = 0;\n"),
+            (Counts{{"include-hygiene", 1}}));
+  EXPECT_EQ(HygieneCounts("#include <mutex>\nstd::mutex guard;\n"), Counts{});
+  EXPECT_EQ(HygieneCounts("#include <atomic>\n"
+                          "auto order = std::memory_order_relaxed;\n"),
+            Counts{});
+}
+
+TEST(ChecksTest, JsonWriteNeedsJsonOnTheOfstreamLine) {
+  EXPECT_EQ(HygieneCounts("std::ofstream out(report_json);\n"
+                          "std::ofstream log(\"run.log\");\n"
+                          "// std::ofstream in a comment, \"x.json\"\n"),
+            (Counts{{"json-atomic-write", 1}}));
+}
+
+/// Registry (taxonomy + prefix rules, no membership gate) and hygiene
+/// counts over one seeded fixture under the committed rule config.  `path`
+/// is the display path, so the prefix rules see the fixture's src/... dir.
+Counts FixtureCounts(const std::string& path) {
+  const std::string root = NSM_SOURCE_DIR;
+  std::ifstream in(root + "/" + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  nsm_analyze::Config config;
+  std::string error;
+  EXPECT_TRUE(nsm_analyze::LoadConfig(root + "/tools/nsm_rules.cfg", &config,
+                                      &error))
+      << error;
+  nsm_analyze::Analysis analysis(
+      {nsm_analyze::ExtractFile(path, Lex(text.str()))}, std::move(config));
+  std::vector<nsm_analyze::Finding> findings;
+  analysis.CheckRegistry(nullptr, &findings);
+  analysis.CheckHygiene(&findings);
+  return RuleCounts(findings);
+}
+
+// The WILL_FAIL fixture ctests only prove at least one finding each.
+TEST(FixtureTest, SeededFixturesGiveExactlyTheirFindings) {
+  EXPECT_EQ(FixtureCounts("tools/lint_fixtures/seeded_violations.cpp"),
+            (Counts{{"include-hygiene", 4},
+                    {"raw-new", 2},
+                    {"json-atomic-write", 1},
+                    {"registry", 3}}));
+  EXPECT_EQ(FixtureCounts(
+                "tools/lint_fixtures/src/codec/seeded_codec_violations.cpp"),
+            (Counts{{"registry", 2}}));
+  EXPECT_EQ(
+      FixtureCounts(
+          "tools/lint_fixtures/src/instrument/seeded_monitor_violations.cpp"),
+      (Counts{{"registry", 2}}));
 }
 
 }  // namespace

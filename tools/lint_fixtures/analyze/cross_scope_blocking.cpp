@@ -1,9 +1,7 @@
 // Seeded cross-scope blocking-under-lock for the nsm_analyze
-// `blocking-under-lock` check — an exact reproduction of the regex lint's
-// known false negative: the blocking mpimini call sits in a helper, so no
-// single brace scope contains both the guard and the call, and the
-// line-oriented lint passes this file clean (asserted by the
-// nsm_lint_cross_scope_negative ctest).  The analyzer must fail it
+// `blocking-under-lock` check: the blocking mpimini call sits in a helper,
+// so no single brace scope contains both the guard and the call — the
+// shape a line-oriented lint passes clean.  The analyzer must fail it
 // (inverted nsm_analyze_cross_scope_fixture ctest).  Analyzer input only.
 #include "core/thread_annotations.hpp"
 #include "mpimini/comm.hpp"

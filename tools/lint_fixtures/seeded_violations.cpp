@@ -1,6 +1,6 @@
-// Seeded lint fixture: one deliberate violation per rule.  Never compiled —
-// the nsm_lint_fixture ctest runs the linter over this file and requires a
-// nonzero exit with every rule represented.
+// Seeded hygiene fixture, never compiled: the nsm_analyze_hygiene_fixture
+// ctest requires findings here, and analyzer_test pins the exact counts
+// (include-hygiene 4, raw-new 2, json-atomic-write 1).
 #include <mutex>
 #include <mutex>   // include-hygiene: duplicate include
 #include <thread>  // include-hygiene: <thread> without std::thread usage
@@ -16,16 +16,16 @@ void RawNewViolation() {
 
 void CollectiveUnderLockViolation(core::Mutex& mutex, mpimini::Comm& comm) {
   core::MutexLock lock(mutex);
-  comm.Barrier();  // collective-under-lock: peer ranks deadlock on `mutex`
+  comm.Barrier();  // blocking-under-lock: peer ranks deadlock on `mutex`
 }
 
 void BadSpanName() {
-  instrument::Span span("BadName.NoCaps");  // span-name: uppercase
-  instrument::Span flat("nodots");          // span-name: missing layer prefix
+  instrument::Span span("BadName.NoCaps");  // registry: uppercase
+  instrument::Span flat("nodots");          // registry: missing layer prefix
 }
 
 void BadMetricName(instrument::MetricsRegistry* metrics) {
-  metrics->Set("sst queue depth", 1.0);  // metric-name: spaces, no dots
+  metrics->Set("sst queue depth", 1.0);  // registry: spaces, no dots
 }
 
 void UnsafeJsonWrite() {

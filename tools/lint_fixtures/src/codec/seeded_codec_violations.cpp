@@ -1,11 +1,11 @@
 // Seeded codec-prefix violations: this file lives under a src/codec/ path
-// on purpose, so the codec-prefix rule must fire on every span/metric below
-// that lacks the "codec." prefix.  tests/CMakeLists.txt registers a
-// WILL_FAIL ctest invocation over this file; if the linter ever stops
-// flagging it, that test fails and the rule is known to be broken.
+// on purpose, so the codec prefix rule (tools/nsm_rules.cfg) must fire on
+// every span/metric below that lacks the "codec." prefix.  The
+// nsm_analyze_codec_fixture ctest runs the registry check over this file
+// and requires findings; analyzer_test pins their exact count.
 //
 // Expected findings:
-//   codec-prefix  x2 (span "transport.encode", metric "sst.encode_bytes")
+//   registry  x2 (span "transport.encode", metric "sst.encode_bytes")
 //
 // The correctly-prefixed pair at the bottom must NOT be flagged.
 

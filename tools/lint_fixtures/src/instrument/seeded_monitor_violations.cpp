@@ -1,12 +1,12 @@
 // Seeded monitor-prefix violations: this file lives under a src/instrument/
-// path with "monitor" in its name on purpose, so the monitor-prefix rule
-// must fire on every span/metric below that lacks the "monitor." or
-// "flightrec." prefix.  tests/CMakeLists.txt registers a WILL_FAIL ctest
-// invocation over this file; if the linter ever stops flagging it, that
-// test fails and the rule is known to be broken.
+// path with "monitor" in its name on purpose, so the monitor prefix rule
+// (tools/nsm_rules.cfg) must fire on every span/metric below that lacks
+// the "monitor." or "flightrec." prefix.  The nsm_analyze_monitor_fixture
+// ctest runs the registry check over this file and requires findings;
+// analyzer_test pins their exact count.
 //
 // Expected findings:
-//   monitor-prefix  x2 (span "http.serve", metric "sst.scrapes")
+//   registry  x2 (span "http.serve", metric "sst.scrapes")
 //
 // The correctly-prefixed pairs at the bottom must NOT be flagged.
 

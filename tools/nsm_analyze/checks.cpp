@@ -221,7 +221,7 @@ void Analysis::BuildGraph() {
                     std::to_string(live.back().line) + ") across a call to " +
                     callee->qualified + ", which reaches blocking `" +
                     b.name + "` at " + Location(callee->file, b.line) +
-                    " (cross-scope: invisible to the regex lint)";
+                    " (cross-scope)";
                 blocking_findings_.push_back(std::move(fi));
               }
             }
@@ -436,7 +436,7 @@ void Analysis::CheckRegistry(const std::string* registry_text,
       findings->push_back(std::move(fi));
       continue;
     }
-    // Per-directory prefix rules (shared with nsm_lint via nsm_rules.cfg).
+    // Per-directory prefix rules (`prefix` directives in nsm_rules.cfg).
     for (const std::string& file : info.files) {
       const std::string base = Basename(file);
       for (const PrefixRule& rule : config_.prefix_rules) {
@@ -726,6 +726,62 @@ void Analysis::CheckLockRanks(const std::string* committed_ranks,
                    d->spec_constant + "` but its lock id `" + lock +
                    "` maps to `" + expected + "`";
       findings->push_back(std::move(fi));
+    }
+  }
+}
+
+// ---- hygiene ---------------------------------------------------------------
+
+void Analysis::CheckHygiene(std::vector<Finding>* findings) {
+  // Headers that belong only where their std:: vocabulary is used, with the
+  // name prefixes that count as a use (`std::memory_order_relaxed` uses
+  // <atomic>).
+  static const std::map<std::string, std::vector<std::string>> kVocabulary = {
+      {"mutex",
+       {"mutex", "lock_guard", "unique_lock", "scoped_lock", "timed_mutex",
+        "recursive_mutex", "call_once", "once_flag"}},
+      {"condition_variable", {"condition_variable"}},
+      {"atomic", {"atomic", "memory_order"}},
+      {"thread", {"thread", "this_thread"}},
+      {"deque", {"deque"}}};
+  for (const FileModel& fm : files_) {
+    std::map<std::string, int> first_line;
+    for (const LineFact& inc : fm.includes) {
+      const auto [first, fresh] = first_line.emplace(inc.text, inc.line);
+      if (!fresh) {
+        findings->push_back({fm.file, inc.line, "include-hygiene",
+                             "duplicate include of <" + inc.text +
+                                 "> (first at line " +
+                                 std::to_string(first->second) + ")"});
+      }
+      const auto vocabulary = kVocabulary.find(inc.text);
+      if (vocabulary == kVocabulary.end()) continue;
+      // Names starting with `word` sort first among those >= `word`.
+      const auto used = [&](const std::string& word) {
+        const auto name = fm.std_names.lower_bound(word);
+        return name != fm.std_names.end() && name->rfind(word, 0) == 0;
+      };
+      if (std::none_of(vocabulary->second.begin(), vocabulary->second.end(),
+                       used)) {
+        findings->push_back({fm.file, inc.line, "include-hygiene",
+                             "<" + inc.text +
+                                 "> included but none of its std:: names "
+                                 "are used"});
+      }
+    }
+    if (config_.raw_new_allowed.count(fm.file) == 0) {
+      for (const LineFact& alloc : fm.raw_allocations) {
+        findings->push_back({fm.file, alloc.line, "raw-new",
+                             "raw `" + alloc.text +
+                                 "` outside raw-new-allowed files: use "
+                                 "core::Buffer or a container"});
+      }
+    }
+    for (int line : fm.json_write_lines) {
+      findings->push_back(
+          {fm.file, line, "json-atomic-write",
+           "JSON artifacts must go through instrument::AtomicFile (temp + "
+           "rename), not a plain ofstream"});
     }
   }
 }

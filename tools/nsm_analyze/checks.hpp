@@ -1,4 +1,4 @@
-// The four analyzer checks over the extracted file models, plus the
+// The six analyzer checks over the extracted file models, plus the
 // generators for the artifacts the checks gate against:
 //
 //   lock-order             global acquired-before graph from per-function
@@ -6,13 +6,17 @@
 //                          fails on cycles, printing every edge's witness
 //   blocking-under-lock    blocking mpimini call / condvar wait reachable
 //                          while any guard is live, including guards held
-//                          in callers (the regex lint's false negative)
+//                          in callers
 //   collective-divergence  collective called on one branch of a
 //                          rank-conditional without a match on the other
 //   registry               span/metric taxonomy + prefix rules + the
 //                          docs/REGISTRY.md membership gate
 //   lock-rank              generated src/core/lock_ranks.hpp is current,
 //                          every core::Mutex carries the right spec
+//   hygiene                raw-new (`new`/`delete` only in raw-new-allowed
+//                          files), json-atomic-write (JSON via AtomicFile,
+//                          not std::ofstream), include-hygiene (duplicate
+//                          or unused concurrency includes)
 //
 // Generators: REGISTRY.md, lock_ranks.hpp, and the DOT acquired-before
 // graph CI uploads as an artifact.
@@ -60,6 +64,9 @@ class Analysis {
   /// declaration, and each declaration names its own lock's constant.
   void CheckLockRanks(const std::string* committed_ranks,
                       std::vector<Finding>* findings);
+
+  /// raw-new, json-atomic-write and include-hygiene.
+  void CheckHygiene(std::vector<Finding>* findings);
 
   std::string GenerateRegistry();
   std::string GenerateRanks(std::vector<Finding>* findings);

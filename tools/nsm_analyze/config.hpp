@@ -1,9 +1,7 @@
-// Shared rule configuration for the repo's two concurrency linters.
+// Rule configuration for nsm_analyze.
 //
 // tools/nsm_rules.cfg is the single source of truth for per-file allowlists
-// and name-prefix rules; tools/nsm_lint.py (the fast regex pre-check) and
-// nsm_analyze (this tool) both parse it, so an exemption added for one is
-// seen by the other.  Line-oriented format, `#` comments:
+// and name-prefix rules.  Line-oriented format, `#` comments:
 //
 //   raw-new-allowed <path>              file may use raw new/delete
 //   blocking-under-lock-allowed <path>  file may block while holding a guard

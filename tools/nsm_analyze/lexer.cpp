@@ -1,5 +1,8 @@
 #include "lexer.hpp"
 
+#include <algorithm>
+#include <string_view>
+
 namespace nsm_analyze {
 
 namespace {
@@ -11,6 +14,17 @@ bool IsIdentStart(char c) {
 bool IsIdentChar(char c) { return IsIdentStart(c) || (c >= '0' && c <= '9'); }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Header name of an `#include` directive ("# include <a/b.h>" -> "a/b.h"),
+/// or empty for every other directive.
+std::string IncludedHeader(std::string_view d) {
+  std::size_t p = std::min(d.find_first_not_of(" \t", 1), d.size());
+  if (d.substr(p, 7) != "include") return "";
+  p = std::min(d.find_first_not_of(" \t", p + 7), d.size());
+  if (p == d.size() || (d[p] != '<' && d[p] != '"')) return "";
+  const std::size_t close = d.find(d[p] == '<' ? '>' : '"', p + 1);
+  return close == d.npos ? "" : std::string(d.substr(p + 1, close - p - 1));
+}
 
 }  // namespace
 
@@ -42,9 +56,12 @@ std::vector<Token> Lex(const std::string& source) {
     }
 
     // Preprocessor directive: consume the logical line, honoring backslash
-    // continuations (phase-2 splicing).  Contributes no tokens — a macro
-    // definition is not code the analyzer should attribute to a function.
+    // continuations (phase-2 splicing).  Only `#include` contributes a
+    // token — a macro definition is not code the analyzer should attribute
+    // to a function.
     if (c == '#' && at_line_start) {
+      const std::size_t begin = i;
+      const int directive_line = line;
       while (i < n) {
         if (source[i] == '\\' &&
             (i + 1 >= n || source[i + 1] == '\n' ||
@@ -56,6 +73,11 @@ std::vector<Token> Lex(const std::string& source) {
         }
         if (source[i] == '\n') break;  // the newline itself ends the line
         ++i;
+      }
+      const std::string header =
+          IncludedHeader(std::string_view(source).substr(begin, i - begin));
+      if (!header.empty()) {
+        tokens.push_back({TokenKind::kInclude, header, directive_line});
       }
       continue;
     }

@@ -1,16 +1,15 @@
-// nsm_analyze: concurrency invariant analyzer and registry gate.
+// nsm_analyze: the repo's static analyzer (checks.hpp lists its checks).
 //
 //   nsm_analyze [options] [paths...]
 //
 //     --root DIR         repository root (default: current directory);
 //                        display paths and defaults are relative to it
-//     --config FILE      shared rule config (default: ROOT/tools/nsm_rules.cfg)
+//     --config FILE      rule config (default: ROOT/tools/nsm_rules.cfg)
 //     --registry FILE    committed registry (default: ROOT/docs/REGISTRY.md)
 //     --ranks FILE       committed rank header
 //                        (default: ROOT/src/core/lock_ranks.hpp)
-//     --check NAME       run one check (repeatable): lock-order,
-//                        blocking-under-lock, collective-divergence,
-//                        registry, lock-rank.  Default: all of them.
+//     --check NAME       run one check (repeatable; a bad NAME prints
+//                        the list).  Default: all of them.
 //     --no-gate          skip the committed-artifact comparisons (fixture
 //                        runs analyze files that are not the real tree)
 //     --dot FILE         write the acquired-before graph as Graphviz DOT
@@ -19,7 +18,7 @@
 //
 //   paths: files or directories to analyze (default: ROOT/src)
 //
-// Exit codes (same contract as tools/nsm_lint.py, see EXPERIMENTS.md):
+// Exit codes (see EXPERIMENTS.md):
 //   0  clean
 //   1  findings
 //   2  usage or I/O error
@@ -27,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -97,7 +97,7 @@ int Usage(const std::string& error) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fs::path root = ".";
+  std::string root_arg = ".";
   std::string config_path;
   std::string registry_path;
   std::string ranks_path;
@@ -110,40 +110,27 @@ int main(int argc, char** argv) {
 
   const std::set<std::string> known_checks = {
       "lock-order", "blocking-under-lock", "collective-divergence",
-      "registry", "lock-rank"};
+      "registry", "lock-rank", "hygiene"};
+  const std::map<std::string, std::string*> path_options = {
+      {"--root", &root_arg},          {"--config", &config_path},
+      {"--registry", &registry_path}, {"--ranks", &ranks_path},
+      {"--dot", &dot_path}};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--root") {
-      const char* v = value();
-      if (v == nullptr) return Usage("--root needs a directory");
-      root = v;
-    } else if (arg == "--config") {
-      const char* v = value();
-      if (v == nullptr) return Usage("--config needs a file");
-      config_path = v;
-    } else if (arg == "--registry") {
-      const char* v = value();
-      if (v == nullptr) return Usage("--registry needs a file");
-      registry_path = v;
-    } else if (arg == "--ranks") {
-      const char* v = value();
-      if (v == nullptr) return Usage("--ranks needs a file");
-      ranks_path = v;
-    } else if (arg == "--dot") {
-      const char* v = value();
-      if (v == nullptr) return Usage("--dot needs a file");
-      dot_path = v;
+    if (const auto option = path_options.find(arg);
+        option != path_options.end()) {
+      if (i + 1 >= argc) return Usage(arg + " needs a path");
+      *option->second = argv[++i];
     } else if (arg == "--check") {
-      const char* v = value();
-      if (v == nullptr || known_checks.count(v) == 0) {
-        return Usage("--check needs one of lock-order, blocking-under-lock, "
-                     "collective-divergence, registry, lock-rank");
+      if (i + 1 >= argc || known_checks.count(argv[i + 1]) == 0) {
+        std::string names;
+        for (const std::string& name : known_checks) {
+          names += (names.empty() ? "" : ", ") + name;
+        }
+        return Usage("--check needs one of " + names);
       }
-      checks.insert(v);
+      checks.insert(argv[++i]);
     } else if (arg == "--write-registry") {
       write_registry = true;
     } else if (arg == "--write-ranks") {
@@ -156,6 +143,7 @@ int main(int argc, char** argv) {
       targets.emplace_back(arg);
     }
   }
+  const fs::path root = root_arg;
   if (checks.empty()) checks = known_checks;
   if (config_path.empty()) {
     config_path = (root / "tools" / "nsm_rules.cfg").string();
@@ -247,6 +235,7 @@ int main(int argc, char** argv) {
     }
     analysis.CheckLockRanks(ranks_text ? &*ranks_text : nullptr, &findings);
   }
+  if (checks.count("hygiene") != 0) analysis.CheckHygiene(&findings);
 
   if (!dot_path.empty() && !WriteFile(dot_path, analysis.GenerateDot())) {
     std::cerr << "nsm_analyze: cannot write: " << dot_path << "\n";

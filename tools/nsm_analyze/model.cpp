@@ -10,7 +10,7 @@ namespace {
 
 const std::unordered_set<std::string>& BlockingNames() {
   // The mpimini calls that block until a peer rank (or a notification)
-  // makes progress.  Mirrors tools/nsm_lint.py's BLOCKING_CALL vocabulary.
+  // makes progress.
   static const std::unordered_set<std::string> kNames = {
       "Barrier",   "Bcast",       "Reduce",     "AllReduce", "AllReduceValue",
       "Gather",    "GatherBytes", "AllGather",  "AllToAllBytes",
@@ -425,8 +425,6 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     if (t.kind != TokenKind::kIdentifier) continue;
-    const bool method_recv =
-        i > 0 && (IsPunct(tokens[i - 1], ".") || IsPunct(tokens[i - 1], "->"));
 
     // Span / IdleScope: `Span span("name"...)` or `Span("name"...)`.
     if (t.text == "Span" || t.text == "IdleScope" || t.text == "Instant") {
@@ -444,11 +442,10 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
     }
 
     // Metric calls: `metrics->Set("plane.metric", ...)` and friends.  The
-    // bare form (no receiver) is accepted too, mirroring nsm_lint.
+    // bare form (no receiver) is accepted too.
     if (MetricMethods().count(t.text) != 0 && i + 2 < tokens.size() &&
         IsPunct(tokens[i + 1], "(") &&
         tokens[i + 2].kind == TokenKind::kString) {
-      (void)method_recv;
       model->names.push_back(
           {NameKind::kMetric, tokens[i + 2].text, file, tokens[i + 2].line});
       continue;
@@ -486,6 +483,48 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
   }
 }
 
+/// True when a token on the line of tokens[i] contains "json" in any case:
+/// a ".json" path literal or a json-named variable.
+bool LineNamesJson(const std::vector<Token>& tokens, std::size_t i) {
+  std::size_t j = i;
+  while (j > 0 && tokens[j - 1].line == tokens[i].line) --j;
+  for (; j < tokens.size() && tokens[j].line == tokens[i].line; ++j) {
+    std::string text = tokens[j].text;
+    for (char& c : text) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    if (text.find("json") != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// Whole-file pass for the hygiene facts.  Comments never reach it, and
+/// literal text arrives as kString, never as an identifier matched here.
+void ScanHygiene(const std::vector<Token>& tokens, FileModel* model) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    if (t.kind == TokenKind::kInclude) {
+      model->includes.push_back({t.text, t.line});
+    }
+    if (t.kind != TokenKind::kIdentifier) continue;
+    const Token* prev = i > 0 ? &tokens[i - 1] : nullptr;
+    if (i > 1 && IsPunct(*prev, "::") && IsIdent(tokens[i - 2], "std")) {
+      model->std_names.insert(t.text);
+    }
+    // Neither `operator new` nor a deleted function's `= delete` is an
+    // expression.
+    const bool operator_name = prev != nullptr && IsIdent(*prev, "operator");
+    const bool deleted = prev != nullptr && IsPunct(*prev, "=");
+    if ((t.text == "new" || (t.text == "delete" && !deleted)) &&
+        !operator_name) {
+      model->raw_allocations.push_back({t.text, t.line});
+    }
+    if (t.text == "ofstream" && LineNamesJson(tokens, i)) {
+      model->json_write_lines.push_back(t.line);
+    }
+  }
+}
+
 }  // namespace
 
 bool IsBlockingCall(const std::string& name) {
@@ -510,6 +549,7 @@ FileModel ExtractFile(const std::string& display_path,
   FileModel model;
   model.file = display_path;
   ScanNamesAndDecls(tokens, display_path, &model);
+  ScanHygiene(tokens, &model);
 
   // Function definitions, at any nesting level outside other bodies (free
   // functions, out-of-line members, in-class inline members).

@@ -16,7 +16,9 @@
 //   - every rank-conditional (`if`/`switch` testing rank/Rank()) with the
 //     collective call names on each branch (collective-divergence check);
 //   - every `core::Mutex` declaration carrying a lock-rank spec constant
-//     (rank-binding validation).
+//     (rank-binding validation);
+//   - the hygiene facts: `#include`s, raw `new`/`delete` expressions,
+//     `std::ofstream`s on a line naming JSON, and the `std::` names used.
 //
 // Lock identity: a guard names its mutex by the *member* it locks (the last
 // identifier of the first constructor argument), qualified by the acquiring
@@ -26,6 +28,7 @@
 // identity exact, and DESIGN.md §6 documents the rule.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -96,12 +99,22 @@ struct RankedMutexDecl {
   std::string spec_constant;  // e.g. "kMpiminiCommMutex"; empty = unranked
 };
 
+/// An `#include`'s header, or a raw `new`/`delete` keyword, with its line.
+struct LineFact {
+  std::string text;
+  int line = 0;
+};
+
 struct FileModel {
   std::string file;  // display path
   std::vector<Function> functions;
   std::vector<NameUse> names;
   std::vector<RankConditional> rank_conditionals;
   std::vector<RankedMutexDecl> ranked_decls;
+  std::vector<LineFact> includes;
+  std::vector<LineFact> raw_allocations;  // `new`/`delete` expressions
+  std::vector<int> json_write_lines;      // std::ofstream on a JSON line
+  std::set<std::string> std_names;        // X of every `std::X`
 };
 
 /// True for the mpimini calls that block until a peer rank acts.
